@@ -117,6 +117,34 @@ def _best_of(callable_, repeats=3):
     return min(timings)
 
 
+MIN_REGION_SECONDS = 0.1
+"""Shortest timed region of an interleaved measurement."""
+INTERLEAVED_ROUNDS = 5
+
+
+def _region_seconds(callable_):
+    """Seconds per call over a region of >= MIN_REGION_SECONDS."""
+    calls = 0
+    start = time.perf_counter()
+    while True:
+        callable_()
+        calls += 1
+        elapsed = time.perf_counter() - start
+        if elapsed >= MIN_REGION_SECONDS:
+            return elapsed / calls
+
+
+def _interleaved_best_of(callables, rounds=INTERLEAVED_ROUNDS):
+    """Best-of-``rounds`` seconds per call for each variant, the
+    variants interleaved so a host slowdown hits every series alike,
+    each timed over a region of at least MIN_REGION_SECONDS."""
+    best = {name: float("inf") for name in callables}
+    for _ in range(rounds):
+        for name, callable_ in callables.items():
+            best[name] = min(best[name], _region_seconds(callable_))
+    return best
+
+
 @pytest.fixture(scope="module")
 def reference_lut(library):
     reference_load = DigitalLoad(
@@ -459,16 +487,17 @@ def bench_results(library, reference_lut):
     # --- Monte Carlo MEP analysis: per-sample loop vs batched grid ----
     monte_carlo_mep(samples=4, library=library, method="scalar")
     monte_carlo_mep(samples=4, library=library, method="batched")
-    scalar_mc = _best_of(
-        lambda: monte_carlo_mep(
-            samples=MC_SAMPLES, library=library, method="scalar"
-        )
+    mc_best = _interleaved_best_of(
+        {
+            method: (
+                lambda method=method: monte_carlo_mep(
+                    samples=MC_SAMPLES, library=library, method=method
+                )
+            )
+            for method in ("scalar", "batched")
+        }
     )
-    batched_mc = _best_of(
-        lambda: monte_carlo_mep(
-            samples=MC_SAMPLES, library=library, method="batched"
-        )
-    )
+    scalar_mc, batched_mc = mc_best["scalar"], mc_best["batched"]
 
     # --- Closed-loop controller: scalar loop vs batched fleet ---------
     def scalar_controller():
@@ -542,7 +571,12 @@ def bench_results(library, reference_lut):
             library, reference_lut
         )
         results["procfleet"] = _process_fleet_bench(library, reference_lut)
-        RESULT_PATH.write_text(json.dumps(results, indent=2) + "\n")
+        # Read-modify-write: sections other benches own survive.
+        record = {}
+        if RESULT_PATH.exists():
+            record = json.loads(RESULT_PATH.read_text())
+        record.update(results)
+        RESULT_PATH.write_text(json.dumps(record, indent=2) + "\n")
     return results
 
 
@@ -570,7 +604,10 @@ def test_engine_throughput_recorded(bench_results):
 
 
 def test_batched_monte_carlo_meets_speedup_bar(bench_results):
-    """Acceptance: >= 10x over the seed's per-sample Monte Carlo loop."""
+    """Acceptance: >= 10x over the seed's per-sample Monte Carlo loop.
+
+    Both sides are interleaved best-of-5 measurements over timed
+    regions of at least 100 ms (the batched call alone lasts ~10 ms)."""
     assert bench_results["monte_carlo_mep"]["speedup"] >= 10.0
 
 

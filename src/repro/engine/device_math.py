@@ -16,7 +16,7 @@ bit-for-bit.  The parity tests in ``tests/engine`` pin this down.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional, Sequence
 
 import numpy as np
@@ -268,15 +268,29 @@ class BatchDeviceSet:
             pmos_vth_shifts=np.full(n, model.pmos_vth_shift),
         )
 
-    def shard(self, index: slice) -> "BatchDeviceSet":
-        """Return the device arrays of a contiguous die shard.
+    def parameter_rows(self) -> np.ndarray:
+        """Return every per-die parameter as one ``(N, F)`` float array.
 
-        The shard shares memory with the parent arrays (numpy views);
-        the engine never mutates device parameters, so views are safe to
-        evaluate from concurrent worker threads.
+        Row ``i`` holds all that distinguishes die ``i`` (the delay
+        constant is shared), so equal rows evaluate to equal answers.
         """
-        from dataclasses import fields
+        return np.stack(
+            [
+                np.asarray(getattr(group, f.name), dtype=float)
+                for group in (self.nmos, self.pmos, self.temperature)
+                for f in fields(group)
+            ],
+            axis=1,
+        )
 
+    def shard(self, index) -> "BatchDeviceSet":
+        """Return the device arrays of a die shard.
+
+        A slice shares memory with the parent arrays (numpy views); the
+        engine never mutates device parameters, so views are safe to
+        evaluate from concurrent worker threads.  An index array gathers
+        copies of its rows.
+        """
         def cut(params: PolarityArrays) -> PolarityArrays:
             return PolarityArrays(
                 **{

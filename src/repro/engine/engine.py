@@ -260,11 +260,12 @@ class BatchPopulation:
             temperature_c=temperature_c,
         )
 
-    def shard(self, index: slice) -> "BatchPopulation":
-        """Return a contiguous die shard of this population.
+    def shard(self, index) -> "BatchPopulation":
+        """Return a die shard of this population.
 
-        Device arrays are numpy views onto the parent population (safe:
-        they are never mutated); the reference calibration table, load
+        For a slice, device arrays are numpy views onto the parent
+        population (safe: they are never mutated); an index array
+        gathers copies of its rows.  The reference calibration table, load
         description and temperature are shared.  Because every per-die
         quantity the engine computes is elementwise across dies, a
         shard's simulation is bit-identical to the same dies inside the
@@ -431,6 +432,8 @@ class BatchEngine:
                 f"step_kernel={self.step_kernel!r})"
             )
         self.state = state
+        if self._kernel is not None:
+            self._kernel.rebind()
 
     def reset(
         self,
@@ -493,6 +496,8 @@ class BatchEngine:
         scalars["ring_buffers"] = self.step_kernel == "fused"
         state.apply_scalars(scalars)
         self.correction_log.clear()
+        if self._kernel is not None:
+            self._kernel.rebind()
 
     @property
     def response(self):

@@ -22,6 +22,12 @@ step (in-place evaluation and operand commutation only — both
 bit-preserving), so a fused run is **bit-identical** to a legacy run;
 ``tests/engine/test_kernels.py`` pins this across partial-window,
 full-window and vote-reset transitions.
+
+Under ``device_model="tabulated"`` the whole cycle runs as one call into
+a compiled C step (:mod:`repro.engine.compiled_step`) whenever that
+library builds and loads; it is bit-identical to the numpy step below,
+which stays as the no-compiler fallback and the differential-fuzz
+oracle.
 """
 
 from __future__ import annotations
@@ -107,6 +113,22 @@ class CycleKernel:
         # (None under the exact device model: the TDC then runs the full
         # replica-delay measurement every settled cycle).
         self._tdc_tables = getattr(self.response, "tdc", None)
+        # The tabulated cycle runs as one compiled call when the C step
+        # builds and loads (bit-identical; the numpy step below is the
+        # fallback and the fuzz oracle).
+        self._compiled = None
+        if engine.device_model == "tabulated":
+            from repro.engine.compiled_step import CompiledTabulatedStep
+
+            self._compiled = CompiledTabulatedStep.create(self)
+
+    def rebind(self) -> None:
+        """Re-point the compiled step at the engine's current state
+        (called when the engine resets or adopts a state)."""
+        if self._compiled is not None and not self._compiled.bind(
+            self.engine.state
+        ):
+            self._compiled = None
 
     # ------------------------------------------------------------------
     # Pipeline stages
@@ -323,6 +345,8 @@ class CycleKernel:
         scheduled_codes: Optional[np.ndarray] = None,
     ) -> dict:
         """Advance every die by one system cycle (fused pipeline)."""
+        if self._compiled is not None:
+            return self._compiled_step(arriving, scheduled_codes)
         engine = self.engine
         s = engine.state
         cfg = engine.config
@@ -415,11 +439,50 @@ class CycleKernel:
             self._update_compensation(vout, settled)
 
         s.cycles += 1
+        return self._row(time)
+
+    def _compiled_step(
+        self,
+        arriving: np.ndarray,
+        scheduled_codes: Optional[np.ndarray],
+    ) -> dict:
+        """The same cycle as one call into the compiled C step."""
+        engine = self.engine
+        s = engine.state
+        if s is not self._compiled.state and not self._compiled.bind(s):
+            self._compiled = None
+            return self.step(arriving, scheduled_codes)
+        time = s.cycles * self._period
+        n = engine.n
+        arriving = np.asarray(arriving, dtype=np.int64)
+        if arriving.shape != (n,):
+            arriving = np.broadcast_to(arriving, (n,))
+        if scheduled_codes is not None:
+            scheduled_codes = np.broadcast_to(
+                np.asarray(scheduled_codes, dtype=np.int64), (n,)
+            )
+        applied = self._compiled(
+            arriving, scheduled_codes, s.history_pos, s.history_filled
+        )
+        if scheduled_codes is None:
+            window = s.history.shape[1]
+            if s.history_filled < window:
+                s.history_filled += 1
+            s.history_pos = (s.history_pos + 1) % window
+        if applied and engine._log_corrections:
+            engine.correction_log.append(s.lut_correction.copy())
+        s.cycles += 1
+        return self._row(time)
+
+    def _row(self, time: float) -> dict:
+        """The telemetry row of the cycle that started at ``time``."""
+        s = self.engine.state
+        sc = self.scratch
         return {
             "time": time + self._period,
             "queue_length": s.queue_length,
             "desired_code": sc.out_desired,
-            "output_voltage": vout,
+            "output_voltage": s.output_voltage,
             "duty_value": s.duty_value,
             "operations_completed": sc.out_operations,
             "samples_dropped": sc.out_dropped,

@@ -91,6 +91,52 @@ class ExactDeviceResponse:
         return self.energy.dynamic_energy(supply)
 
 
+def nearest_code(expected: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Return ``argmin_j |expected[j] - count|`` for every count.
+
+    Equal to ``np.argmin(np.abs(expected[None, :] - counts[:, None]),
+    axis=1)`` — the same rounded distances, the first index on ties — but
+    kept as a running minimum over the codes, never materialising the
+    ``(counts, codes)`` distance matrix (65536 x 64 for the default
+    counter).  A NaN, which ``np.argmin`` ranks first, takes the matrix
+    path.
+    """
+    if np.isnan(expected).any():
+        return np.argmin(
+            np.abs(expected[np.newaxis, :] - counts[:, np.newaxis]), axis=1
+        )
+    best = np.abs(expected[0] - counts)
+    code = np.zeros(counts.shape, dtype=np.intp)
+    distance = np.empty_like(best)
+    closer = np.empty(counts.shape, dtype=bool)
+    for j in range(1, expected.shape[0]):
+        np.subtract(expected[j], counts, out=distance)
+        np.abs(distance, out=distance)
+        np.less(distance, best, out=closer)
+        np.copyto(best, distance, where=closer)
+        np.copyto(code, j, where=closer)
+    return code
+
+
+def bisect(crossed, lo: np.ndarray, hi: np.ndarray, iterations: int):
+    """Return the upper brackets after ``iterations`` bisection steps.
+
+    ``crossed(v)`` is a monotone boolean predicate, false at ``lo`` and
+    true at ``hi``.  An iteration that moves no bracket has reached a
+    fixed point — every later one would repeat it exactly — so the loop
+    stops there and still returns the full-budget brackets bit for bit.
+    """
+    for _ in range(iterations):
+        mid = 0.5 * (lo + hi)
+        hit = crossed(mid)
+        next_hi = np.where(hit, mid, hi)
+        next_lo = np.where(hit, lo, mid)
+        if np.array_equal(next_hi, hi) and np.array_equal(next_lo, lo):
+            break
+        hi, lo = next_hi, next_lo
+    return hi
+
+
 class TdcCodeTables:
     """Exact tabulated TDC readout: per-die supply breakpoints.
 
@@ -127,10 +173,8 @@ class TdcCodeTables:
         n = sensor.n
         # Shared count -> code map (vectorised TdcCalibration inversion,
         # first match on ties exactly like np.argmin in the scalar path).
-        counts_axis = np.arange(max_count + 1, dtype=float)
-        code_of_count = np.argmin(
-            np.abs(expected[np.newaxis, :] - counts_axis[:, np.newaxis]),
-            axis=1,
+        code_of_count = nearest_code(
+            expected, np.arange(max_count + 1, dtype=float)
         )
         if np.any(np.diff(code_of_count) < 0):
             raise ValueError(
@@ -171,12 +215,7 @@ class TdcCodeTables:
 
         at_floor = crossed(lo)
         at_ceiling = crossed(hi)
-        for _ in range(self._BISECT_ITERATIONS):
-            mid = 0.5 * (lo + hi)
-            hit = crossed(mid)
-            hi = np.where(hit, mid, hi)
-            lo = np.where(hit, lo, mid)
-        breaks = hi
+        breaks = bisect(crossed, lo, hi, self._BISECT_ITERATIONS)
         breaks[at_floor] = -np.inf      # step sits below the search floor
         breaks[~at_ceiling] = np.inf    # step never fires in range
         breaks[:, always_on] = -np.inf
@@ -193,8 +232,9 @@ class TdcCodeTables:
         self._reliable = np.empty(self.n, dtype=bool)
         self._flag = np.empty(self.n, dtype=bool)
 
-    def shard(self, index: slice) -> "TdcCodeTables":
-        """Return a contiguous die shard of these breakpoints (views)."""
+    def shard(self, index) -> "TdcCodeTables":
+        """Return a die shard of these breakpoints: row views for a
+        slice, row copies for an index array."""
         return TdcCodeTables.adopt(
             code_breaks=self.code_breaks[index],
             positive_break=self.positive_break[index],
@@ -253,6 +293,25 @@ class TdcCodeTables:
         stalled = np.less(vout, self.minimum_supply, out=self._flag)
         np.copyto(self._codes, self.base_code, where=stalled)
         return self._codes, reliable
+
+
+def distinct_dies(population):
+    """Return ``(first, inverse)`` over the population's distinct dies.
+
+    Two dies are the same when every per-die load and sensor device
+    parameter has the same bytes (so ``-0.0`` and ``+0.0`` differ,
+    which only ever costs a duplicate build).  ``first`` indexes one
+    die of each distinct kind and ``inverse`` maps every die back to
+    its row of ``first``, as :func:`numpy.unique` returns them.
+    """
+    devices = [population.load_devices]
+    if population.sensor_devices is not population.load_devices:
+        devices.append(population.sensor_devices)
+    rows = np.concatenate([d.parameter_rows() for d in devices], axis=1)
+    _, first, inverse = np.unique(
+        rows.view(np.uint64), axis=0, return_index=True, return_inverse=True
+    )
+    return first, inverse.reshape(-1)
 
 
 class ResponseTables:
@@ -346,7 +405,21 @@ class ResponseTables:
         calibration table, the TDC readout staircase is tabulated too
         (:class:`TdcCodeTables` — exact step positions, so the
         compensation path converges to the same LUT corrections).
+
+        Dies whose load and sensor device parameters are byte-identical
+        get byte-identical tables, so each distinct die is built once
+        and the result is gathered back to one row per die — the same
+        bits as a per-row build, in C-contiguous arrays.
         """
+        first, inverse = distinct_dies(population)
+        if first.size < population.n:
+            distinct = cls.from_population(
+                population.shard(first),
+                config,
+                nominal_throughput=nominal_throughput,
+                points=points,
+            )
+            return distinct.shard(inverse)
         tables = cls(
             population.energy,
             population.temperature_c,
@@ -364,12 +437,13 @@ class ResponseTables:
             )
         return tables
 
-    def shard(self, index: slice) -> "ResponseTables":
-        """Return a contiguous die shard of these tables (row views).
+    def shard(self, index) -> "ResponseTables":
+        """Return a die shard of these tables.
 
-        Row slices of C-contiguous tables stay contiguous, so the shard
-        shares table memory with the parent — a fleet pays the build
-        cost once regardless of worker count.
+        A slice gives row views: row slices of C-contiguous tables stay
+        contiguous, so the shard shares table memory with the parent — a
+        fleet pays the build cost once regardless of worker count.  An
+        index array gathers rows into new C-contiguous tables.
         """
         return ResponseTables.adopt(
             {name: table[index] for name, table in self._tables.items()},

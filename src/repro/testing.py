@@ -7,13 +7,16 @@ explicit ``REPRO_FUZZ_SEEDS`` list overriding both so a CI failure can
 be replayed locally from the seed printed in the assertion message.
 This module hosts that protocol so every fuzz suite (engine, analysis,
 service) draws its seeds — and formats its replay messages — the same
-way instead of re-implementing the environment parsing.
+way instead of re-implementing the environment parsing.  It also holds
+the switch tests use to run tabulated engines on the numpy step
+(:func:`numpy_tabulated_step`).
 """
 
 from __future__ import annotations
 
 import os
-from typing import List
+from contextlib import contextmanager
+from typing import Iterator, List
 
 SCENARIOS_ENV = "REPRO_FUZZ_SCENARIOS"
 """How many seeds the contiguous budget covers (tier-1 default: 8)."""
@@ -55,3 +58,30 @@ def replay_message(seed: int, test_path: str) -> str:
         f"[fuzz seed {seed}] replay with "
         f"{SEEDS_ENV}={seed} pytest {test_path}"
     )
+
+
+@contextmanager
+def numpy_tabulated_step() -> Iterator[None]:
+    """Run tabulated engines on the numpy step inside this block.
+
+    Patches the compiled step's loader to report no library, exactly
+    what a machine without a C compiler sees, so the fallback path runs
+    under the same tests.  Engines select their step when their kernel
+    is first built (the first cycle), and forked process-fleet workers
+    inherit the patch, so build and run engines inside the block.
+    """
+    from repro.engine import compiled_step
+
+    saved = compiled_step.load_library
+    compiled_step.load_library = lambda: None
+    try:
+        yield
+    finally:
+        compiled_step.load_library = saved
+
+
+def compiled_step_available() -> bool:
+    """Whether tabulated engines here run on the compiled step."""
+    from repro.engine import compiled_step
+
+    return compiled_step.load_library() is not None

@@ -13,6 +13,9 @@ schedule, window sizes, sharding — and drives each one through every
 * **bit-identity** between executors under the tabulated device model
   (the backends must agree with each other regardless of device model),
 * **tolerance parity** of the tabulated model against the exact one,
+* **bit-identity** between the compiled and the numpy tabulated step
+  (the tabulated-step axis) across executor, sink, batch composition,
+  injected faults and a traced service,
 * **scalar parity**: the fused engine against the legacy pure-Python
   ``AdaptiveController.run_reference`` loop for a die of the population
   (rtol 1e-12, the same bar as ``test_parity.py``), on every scenario
@@ -35,7 +38,12 @@ from typing import Optional, Tuple
 import numpy as np
 import pytest
 
-from repro.testing import fuzz_seeds, replay_message
+from repro.testing import (
+    compiled_step_available,
+    fuzz_seeds,
+    numpy_tabulated_step,
+    replay_message,
+)
 
 from repro.circuits.loads import DigitalLoad
 from repro.core.controller import AdaptiveController
@@ -588,6 +596,205 @@ def test_persistent_engine_reuse_bit_identical(seed, library, fuzz_lut):
                 one_run(persistent), _fleet_totals(persistent), telemetry
             )
             assert_totals_identical(reference, third, f"run 3 {label}")
+
+
+# ----------------------------------------------------------------------
+# Tabulated-step axis: the compiled C step against the numpy step.
+# ----------------------------------------------------------------------
+SINKS = ("dense", "streaming", "null")
+STEP_CHAOS_KINDS = {
+    "process": ("crash", "raise", "slow", "ack_corrupt"),
+    "thread": ("crash", "raise", "slow"),
+}
+"""Fault kinds of the step axis; ``hang`` (a 5 s fence per seed) stays
+with the chaos axis, which already covers it on the numpy step."""
+
+
+def assert_streaming_matches(sink, reference, window, label):
+    """Streaming reducers equal the reductions of a dense trace."""
+    for channel in (
+        "output_voltages", "duty_values", "energies", "lut_corrections"
+    ):
+        column = getattr(reference, channel)
+        for reducer, expected in (
+            ("minimum", column.min(axis=0)),
+            ("maximum", column.max(axis=0)),
+            ("last", column[-1]),
+            ("tail", column[-window:]),
+        ):
+            np.testing.assert_array_equal(
+                getattr(sink, reducer)(channel),
+                expected,
+                err_msg=f"{channel} {reducer} {label}",
+            )
+    np.testing.assert_array_equal(
+        sink.total("operations_completed"),
+        reference.operations_completed.sum(axis=0),
+        err_msg=f"operations total {label}",
+    )
+
+
+def service_requests(sc: Scenario):
+    """The scenario's dies as tabulated service requests."""
+    from repro.service import SimRequest, WorkloadSpec
+
+    arrivals = np.zeros((sc.dies, sc.cycles), dtype=np.int64)
+    if sc.arrivals is not None:
+        arrivals[...] = sc.arrivals
+    return [
+        SimRequest(
+            cycles=sc.cycles,
+            nmos_vth_shift=float(sc.nmos_shifts[i]),
+            pmos_vth_shift=float(sc.pmos_shifts[i]),
+            workload=WorkloadSpec(
+                kind="explicit", arrivals=tuple(int(a) for a in arrivals[i])
+            ),
+            schedule_codes=(
+                None
+                if sc.schedule_codes is None
+                else tuple(int(c) for c in sc.schedule_codes)
+            ),
+            compensation_enabled=sc.compensation,
+            feedback=sc.feedback.name.lower(),
+            averaging_window=sc.averaging_window,
+            initial_correction=(
+                0
+                if sc.initial_correction is None
+                else int(sc.initial_correction[i])
+            ),
+            device_model="tabulated",
+        )
+        for i in range(sc.dies)
+    ]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_compiled_tabulated_step_bit_identical(seed, library, fuzz_lut):
+    """The tabulated-step axis: the compiled step must equal the numpy
+    step bit for bit on a single batch, on every executor with a
+    rotating sink, on a batch of duplicated and permuted dies, under an
+    injected fault with recovery, and through a traced service."""
+    if not compiled_step_available():
+        pytest.skip("compiled tabulated step unavailable (no C compiler)")
+    from repro import faults
+    from repro.obs import InMemorySpanExporter, Tracer
+    from repro.service import ServiceConfig, SimulationService
+
+    runs = get_runs(seed, library, fuzz_lut)
+    sc = runs.sc
+    message = sc.replay_message()
+    rng = np.random.default_rng(seed ^ 0xC0DE)
+    tabulated = {"device_model": "tabulated"}
+    with numpy_tabulated_step():
+        reference, reference_totals = runs.run_batch(**tabulated)
+
+    engine = BatchEngine(runs.population, lut=fuzz_lut, **tabulated)
+    engine.run(None, 1)
+    assert engine._kernel._compiled is not None, message
+    compiled, totals = runs.run_batch(**tabulated)
+    assert_traces_identical(reference, compiled, f"(compiled) {message}")
+    assert_totals_identical(reference_totals, totals, f"(compiled) {message}")
+
+    for k, executor in enumerate(EXECUTORS):
+        telemetry = SINKS[(seed + k) % len(SINKS)]
+        label = f"(compiled, {executor}, {telemetry}) {message}"
+        result, totals = runs.run_fleet(
+            executor, telemetry=telemetry, **tabulated
+        )
+        assert_totals_identical(reference_totals, totals, label)
+        if telemetry == "dense":
+            assert_traces_identical(reference, result, label)
+        elif telemetry == "streaming":
+            assert_streaming_matches(
+                result, reference, sc.stream_window, label
+            )
+        else:
+            assert result is None
+
+    # Batch composition: every die twice, the second copy permuted.
+    order = np.concatenate(
+        [np.arange(sc.dies), rng.permutation(sc.dies)]
+    )
+    kwargs = sc.engine_kwargs()
+    if sc.initial_correction is not None:
+        kwargs["initial_correction"] = sc.initial_correction[order]
+    arrivals = sc.arrivals
+    if arrivals is not None and np.ndim(arrivals) == 2:
+        arrivals = arrivals[order]
+    mixed = BatchEngine(
+        runs.population.shard(order), lut=fuzz_lut, **tabulated, **kwargs
+    ).run(arrivals, sc.cycles, scheduled_codes=sc.schedule_codes)
+    for channel in TRACE_CHANNELS:
+        expected = getattr(reference, channel)
+        if expected.ndim == 2:
+            expected = expected[:, order]
+        np.testing.assert_array_equal(
+            getattr(mixed, channel),
+            expected,
+            err_msg=f"{channel} (compiled, duplicated dies) {message}",
+        )
+
+    # Faults: one injected failure, recovered, on a resident fleet.
+    executor = ("process", "thread")[int(rng.integers(0, 2))]
+    kinds = STEP_CHAOS_KINDS[executor]
+    kind = kinds[int(rng.integers(0, len(kinds)))]
+    chunk = int(rng.integers(1, sc.cycles + 1))
+    cycle = (int(rng.integers(0, sc.cycles)) // chunk) * chunk
+    label = (
+        f"(compiled, chaos {kind}:{cycle}, {executor}, chunk={chunk}) "
+        f"{message}"
+    )
+    faults.install(
+        faults.FaultPlan(
+            (faults.FaultSpec(kind=kind, cycle=cycle, seconds=0.03, times=1),)
+        )
+    )
+    try:
+        with FleetEngine(
+            runs.population,
+            fuzz_lut,
+            fleet=FleetConfig(
+                shard_size=sc.shard_size,
+                workers=sc.workers,
+                executor=executor,
+                recovery=faults.RecoveryPolicy(
+                    max_restarts=3, command_timeout_s=5.0
+                ),
+            ),
+            **tabulated,
+            **sc.engine_kwargs(),
+        ) as fleet:
+            trace = fleet.run_chunked(
+                sc.arrivals, sc.cycles, chunk,
+                scheduled_codes=sc.schedule_codes,
+            )
+    finally:
+        faults.clear()
+    assert_traces_identical(reference, trace, label)
+
+    # Tracing: the same dies served as requests, traced, both steps.
+    requests = service_requests(sc)
+    config = ServiceConfig(
+        execution=("direct", "thread", "process")[seed % 3],
+        workers=2,
+        max_batch_dies=3,
+    )
+
+    def serve():
+        tracer = Tracer(exporter=InMemorySpanExporter(), sample_rate=1.0)
+        with SimulationService(
+            library=library, config=config, tracer=tracer
+        ) as service:
+            return [result.values for result in service.run(requests)]
+
+    with numpy_tabulated_step():
+        expected = serve()
+    for index, values in enumerate(serve()):
+        assert values.keys() == expected[index].keys(), message
+        for name, value in expected[index].items():
+            assert np.array_equal(
+                values[name], value, equal_nan=isinstance(value, float)
+            ), f"{name} (compiled, traced service, request {index}) {message}"
 
 
 # ----------------------------------------------------------------------

@@ -259,3 +259,101 @@ class TestValidation:
         )
         with pytest.raises(ValueError):
             engine.run(None, 2, scheduled_codes=np.full(2, 11))
+
+
+class TestTdcBisectionEarlyExit:
+    def test_breakpoints_equal_the_full_budget(self, library, monkeypatch):
+        """Over corners x Vth shifts x temperatures, the early-exit
+        bisection returns the fixed 60-iteration breakpoints bit for bit
+        (and does stop early)."""
+        from repro.engine import response_tables
+        from repro.engine.device_math import BatchDeviceSet
+        from repro.engine.response_tables import TdcCodeTables
+        from repro.library import OperatingCondition
+
+        def full_budget(crossed, lo, hi, iterations):
+            for _ in range(iterations):
+                mid = 0.5 * (lo + hi)
+                hit = crossed(mid)
+                hi = np.where(hit, mid, hi)
+                lo = np.where(hit, lo, mid)
+            return hi
+
+        early = response_tables.bisect
+        iterations = []
+
+        def counted(crossed, lo, hi, budget):
+            calls = []
+
+            def counting(supply):
+                calls.append(1)
+                return crossed(supply)
+
+            result = early(counting, lo, hi, budget)
+            iterations.append(len(calls))
+            return result
+
+        config = ControllerConfig()
+        corners = ("TT", "SS", "FF", "SF", "FS")
+        shifts = (-0.04, -0.01, 0.0, 0.015, 0.05)
+        for temperature in (-20.0, 25.0, 100.0):
+            pairs = [(c, s) for c in corners for s in shifts]
+            devices = BatchDeviceSet.from_technologies(
+                [
+                    library.technology_at(
+                        OperatingCondition(corner=c, temperature_c=temperature)
+                    )
+                    for c, _ in pairs
+                ],
+                library.reference_delay_model.delay_constant,
+                nmos_vth_shifts=np.array([s for _, s in pairs]),
+                pmos_vth_shifts=-0.5 * np.array([s for _, s in pairs]),
+            )
+            expected_counts = BatchPopulation.from_corners(
+                library, ["TT"], temperature_c=temperature
+            ).expected_counts
+            tables = {}
+            for name, bisect in (("early", counted), ("full", full_budget)):
+                monkeypatch.setattr(response_tables, "bisect", bisect)
+                tables[name] = TdcCodeTables(
+                    devices,
+                    temperature,
+                    config.tdc,
+                    expected_counts,
+                    v_max=config.power_stage.battery_voltage,
+                )
+            for field in ("code_breaks", "positive_break", "saturation_break"):
+                np.testing.assert_array_equal(
+                    getattr(tables["early"], field).view(np.uint64),
+                    getattr(tables["full"], field).view(np.uint64),
+                    err_msg=f"{field} at {temperature} C",
+                )
+        assert min(iterations) < TdcCodeTables._BISECT_ITERATIONS
+
+
+def test_nearest_code_equals_the_distance_matrix_argmin():
+    """The running-minimum staircase inversion returns np.argmin over
+    the full distance matrix: same distances, first index on ties."""
+    from repro.engine.response_tables import nearest_code
+
+    rng = np.random.default_rng(7)
+    cases = [
+        np.array([0.0, 0.0, 0.0, 3.0, 3.0, 7.5, 12.0]),  # duplicates
+        np.array([1.0, 2.0, 4.0, 6.0]),  # exact midpoint ties
+        np.array([5.0, 1.0, 9.0, 1.0]),  # unsorted
+        np.array([1.0, np.nan, 3.0]),  # NaN ranks first in argmin
+    ]
+    for _ in range(40):
+        size = int(rng.integers(1, 70))
+        cases.append(np.sort(rng.integers(0, 400, size)).astype(float))
+        cases.append(rng.uniform(-3.0, 403.0, size) + 1e-13)
+    counts = np.arange(401, dtype=float)
+    for expected in cases:
+        np.testing.assert_array_equal(
+            nearest_code(expected, counts),
+            np.argmin(
+                np.abs(expected[np.newaxis, :] - counts[:, np.newaxis]),
+                axis=1,
+            ),
+            err_msg=str(expected),
+        )

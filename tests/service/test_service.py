@@ -48,6 +48,28 @@ class TestSubmitAndResolve:
         assert not result.cached
         assert result.batch_size == 1
 
+    def test_each_request_is_hashed_once(
+        self, service_library, monkeypatch
+    ):
+        """The canonical hash runs once per submit: the tick stores
+        results under the key each queued request already carries."""
+        calls = []
+        original = SimRequest.cache_key
+
+        def counting(request):
+            calls.append(request)
+            return original(request)
+
+        monkeypatch.setattr(SimRequest, "cache_key", counting)
+        service = make_service(service_library)
+        requests = [request_for(i) for i in range(4)]
+        requests += [requests[1], requests[3]]
+        results = service.run(requests)
+        assert len(calls) == len(requests)
+        assert [r.key for r in results] == [original(r) for r in requests]
+        # Stored under those keys: resubmitting hits the cache.
+        assert all(service.submit(r).result().cached for r in requests)
+
     def test_run_preserves_request_order(self, service_library):
         service = make_service(service_library)
         requests = [request_for(i) for i in range(5)]
