@@ -13,9 +13,9 @@ sets it; a plain pytest run must not dirty the working tree):
 * sharded fleet throughput — die-cycles per second of the single-shard
   engine versus a multi-worker :class:`FleetEngine` (plus the
   bit-identity check between the two),
-* the step-kernel sweep — legacy vs fused vs fused+tabulated
-  die-cycles/s on the dense 512-die closed loop and the 256-die
-  streaming configuration (the PR-3 ``step_kernel`` section),
+* the step-kernel sweep — fused kernel on the exact vs the tabulated
+  device model, die-cycles/s on the dense 512-die closed loop and the
+  256-die streaming configuration (the ``step_kernel`` section),
 * the streaming long run — a ``>= 100k cycles x 256 dies`` closed-loop
   run under :class:`StreamingTrace`, completing within a fixed
   telemetry-memory bound where a dense trace cannot (timed over a
@@ -95,9 +95,9 @@ TELEMETRY_MEMORY_BOUND = 256 * 1024 * 1024
 """Fixed telemetry budget (bytes) the streaming long run must fit in."""
 
 STEP_KERNEL_BASELINE_CYCLES = 5000
-"""Cycles for the (slow) legacy baselines of the step_kernel streaming
-measurement — streaming throughput is cycle-count independent, so the
-baseline need not crawl through the full long run."""
+"""Cycles for the (slow) exact-model baseline of the step_kernel
+streaming measurement — streaming throughput is cycle-count
+independent, so the baseline need not crawl through the full long run."""
 
 PR2_DENSE_DIE_CYCLES_PER_SECOND = 275102.2184069381
 PR2_STREAMING_DIE_CYCLES_PER_SECOND = 51151.40127881346
@@ -377,7 +377,7 @@ def _persistent_fleet_bench(library, reference_lut):
 
 
 def _step_kernel_bench(library, reference_lut):
-    """Fused-kernel / tabulated-response throughput vs the legacy step.
+    """Tabulated-response throughput vs the exact model (fused kernel).
 
     Two workload configurations, matching the PR-2 headline numbers:
     the 512-die x 400-cycle dense closed loop and the 256-die x
@@ -420,18 +420,14 @@ def _step_kernel_bench(library, reference_lut):
             lambda: None, repeats=3, **kwargs
         )
 
-    dense_legacy = dense(step_kernel="legacy")
     dense_fused = dense()
     dense_tabulated = dense(device_model="tabulated")
     dense_section = {
         "dies": FLEET_SIZE,
         "system_cycles": CONTROLLER_CYCLES,
-        "legacy_die_cycles_per_second": dense_legacy,
         "fused_exact_die_cycles_per_second": dense_fused,
         "fused_tabulated_die_cycles_per_second": dense_tabulated,
-        "ring_vs_shifted_speedup": dense_fused / dense_legacy,
         "tabulated_vs_exact_speedup": dense_tabulated / dense_fused,
-        "tabulated_speedup_vs_legacy": dense_tabulated / dense_legacy,
         "pr2_die_cycles_per_second": PR2_DENSE_DIE_CYCLES_PER_SECOND,
         "tabulated_speedup_vs_pr2": (
             dense_tabulated / PR2_DENSE_DIE_CYCLES_PER_SECOND
@@ -448,10 +444,6 @@ def _step_kernel_bench(library, reference_lut):
     long_arrivals = constant_arrival_matrix(
         [ARRIVAL_RATE], SYSTEM_PERIOD, LONG_RUN_CYCLES
     )[0]
-    stream_legacy = timed_run(
-        population, baseline_arrivals, baseline_cycles,
-        StreamingTrace, repeats=1, step_kernel="legacy",
-    )
     stream_fused = timed_run(
         population, baseline_arrivals, baseline_cycles,
         StreamingTrace, repeats=1,
@@ -464,12 +456,9 @@ def _step_kernel_bench(library, reference_lut):
         "dies": LONG_RUN_DIES,
         "system_cycles": LONG_RUN_CYCLES,
         "baseline_system_cycles": baseline_cycles,
-        "legacy_die_cycles_per_second": stream_legacy,
         "fused_exact_die_cycles_per_second": stream_fused,
         "fused_tabulated_die_cycles_per_second": stream_tabulated,
-        "ring_vs_shifted_speedup": stream_fused / stream_legacy,
         "tabulated_vs_exact_speedup": stream_tabulated / stream_fused,
-        "tabulated_speedup_vs_legacy": stream_tabulated / stream_legacy,
         "pr2_die_cycles_per_second": PR2_STREAMING_DIE_CYCLES_PER_SECOND,
         "tabulated_speedup_vs_pr2": (
             stream_tabulated / PR2_STREAMING_DIE_CYCLES_PER_SECOND
@@ -791,28 +780,23 @@ def test_streaming_long_run_fits_memory_bound(bench_results):
     not RECORD, reason="step-kernel sweep needs REPRO_BENCH_RECORD=1"
 )
 def test_step_kernel_speedup_bars(bench_results):
-    """Acceptance: the fused kernel + tabulated response deliver >= 3x
-    die-cycles/s on the 512-die dense closed loop and >= 5x on the
-    256-die streaming configuration over the legacy per-cycle path."""
+    """Acceptance: the tabulated response delivers >= 3x the exact
+    model's die-cycles/s on the 512-die dense closed loop and on the
+    256-die streaming configuration; on the single-CPU reference host
+    also >= 3x / >= 5x over the pre-fused-kernel reference numbers."""
     kernel = bench_results["step_kernel"]
     dense = kernel["dense_closed_loop"]
     stream = kernel["streaming_long_run"]
-    print(
-        f"\nStep kernel (dense {dense['dies']} dies): "
-        f"{dense['legacy_die_cycles_per_second']:8.0f} legacy vs "
-        f"{dense['fused_exact_die_cycles_per_second']:8.0f} fused vs "
-        f"{dense['fused_tabulated_die_cycles_per_second']:8.0f} tabulated "
-        f"die-cycles/s ({dense['tabulated_speedup_vs_legacy']:.2f}x)"
-    )
-    print(
-        f"Step kernel (streaming {stream['dies']} dies): "
-        f"{stream['legacy_die_cycles_per_second']:8.0f} legacy vs "
-        f"{stream['fused_exact_die_cycles_per_second']:8.0f} fused vs "
-        f"{stream['fused_tabulated_die_cycles_per_second']:8.0f} tabulated "
-        f"die-cycles/s ({stream['tabulated_speedup_vs_legacy']:.2f}x)"
-    )
-    assert dense["tabulated_speedup_vs_legacy"] >= 3.0
-    assert stream["tabulated_speedup_vs_legacy"] >= 3.0
+    for label, section in (("dense", dense), ("streaming", stream)):
+        print(
+            f"\nStep kernel ({label} {section['dies']} dies): "
+            f"{section['fused_exact_die_cycles_per_second']:8.0f} exact vs "
+            f"{section['fused_tabulated_die_cycles_per_second']:8.0f} "
+            f"tabulated die-cycles/s "
+            f"({section['tabulated_vs_exact_speedup']:.2f}x)"
+        )
+    assert dense["tabulated_vs_exact_speedup"] >= 3.0
+    assert stream["tabulated_vs_exact_speedup"] >= 3.0
     # The vs-PR-2 bar is a *same-host* comparison: it only applies on
     # the single-CPU reference container the PR-2 numbers were recorded
     # on.  Elsewhere (CI runners of arbitrary speed) the relative
@@ -829,16 +813,13 @@ def test_bench_record_has_step_kernel_section():
     kernel = record["step_kernel"]
     for section in ("dense_closed_loop", "streaming_long_run"):
         for key in (
-            "legacy_die_cycles_per_second",
             "fused_exact_die_cycles_per_second",
             "fused_tabulated_die_cycles_per_second",
-            "ring_vs_shifted_speedup",
             "tabulated_vs_exact_speedup",
-            "tabulated_speedup_vs_legacy",
         ):
             assert key in kernel[section], (section, key)
-    assert kernel["dense_closed_loop"]["tabulated_speedup_vs_legacy"] >= 3.0
-    assert kernel["streaming_long_run"]["tabulated_speedup_vs_legacy"] >= 3.0
+    assert kernel["dense_closed_loop"]["tabulated_vs_exact_speedup"] >= 3.0
+    assert kernel["streaming_long_run"]["tabulated_vs_exact_speedup"] >= 3.0
     # Same-host claim: only meaningful when the record was produced on
     # the single-CPU container the PR-2 reference numbers came from.
     if record["environment"]["cpu_count"] == 1:

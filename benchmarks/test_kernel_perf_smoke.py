@@ -6,16 +6,14 @@ on whatever host runs the suite.  Every gate is purely **relative**
 wall-clock bars — so the single-CPU dev container and CI runners of any
 speed stay green:
 
-* fused kernel <= legacy step,
-* tabulated device model <= legacy step,
+* numpy tabulated step <= fused kernel on the exact device model,
 * compiled tabulated step <= numpy tabulated step (skipped when no C
   compiler can build the compiled step).
 
 The variants are timed in interleaved best-of-k rounds.  A timed
-region lasts at least :data:`MIN_REGION_SECONDS`: the legacy-baselined
-gates time one exact-model run (~0.3 s), the compiled gate repeats warm
-runs until the region is covered, so it is never a single ~5 ms run
-that one scheduler hiccup can double.  The CI workflow runs this file
+region lasts at least :data:`MIN_REGION_SECONDS`: warm runs repeat
+until the region is covered, so it is never a single ~5 ms run that one
+scheduler hiccup can double.  The CI workflow runs this file
 as a dedicated step so a kernel regression fails loudly.
 
 With ``REPRO_BENCH_RECORD=1`` the ``tabulated_step`` section of
@@ -122,61 +120,26 @@ def _interleaved_warm_best(engines, arrivals, cycles, rounds=ROUNDS):
     return best
 
 
-def _one_run_seconds(population, lut, arrivals, **kwargs):
-    engine = BatchEngine(population, lut=lut, **kwargs)
-    engine.run(
-        np.zeros((SMOKE_DIES, 1), dtype=np.int64), 1, sink=NullTrace()
-    )
-    start = time.perf_counter()
-    engine.run(arrivals, SMOKE_CYCLES, sink=NullTrace())
-    return time.perf_counter() - start
-
-
-def _interleaved_best(population, lut, arrivals, variants, rounds=ROUNDS):
-    """Best-of-``rounds`` per variant, with the variants interleaved so
-    transient host slowdowns hit every series roughly equally.  One
-    exact-model run already lasts well over MIN_REGION_SECONDS."""
-    best = {name: None for name in variants}
-    for _ in range(rounds):
-        for name, kwargs in variants.items():
-            elapsed = _one_run_seconds(population, lut, arrivals, **kwargs)
-            current = best[name]
-            best[name] = elapsed if current is None else min(current, elapsed)
-    return best
-
-
-def test_fused_kernel_not_slower_than_legacy(smoke_setup):
-    """Relative gate: fused kernel <= legacy path on the same host."""
+def test_tabulated_not_slower_than_exact(smoke_setup):
+    """Relative gate: once its tables are built, the numpy tabulated
+    step is not slower than the fused kernel on the exact model."""
     population, lut, arrivals = smoke_setup
-    best = _interleaved_best(
-        population,
-        lut,
-        arrivals,
-        {"legacy": {"step_kernel": "legacy"}, "fused": {}},
-    )
+    engines = {
+        "exact": _warm_engine(population, lut),
+        "tabulated": _warm_engine(
+            population, lut, numpy_step=True, device_model="tabulated"
+        ),
+    }
+    assert engines["tabulated"]._kernel._compiled is None
+    best = _interleaved_warm_best(engines, arrivals, SMOKE_CYCLES)
     die_cycles = SMOKE_DIES * SMOKE_CYCLES
     print(
         f"\nKernel perf smoke ({SMOKE_DIES} dies x {SMOKE_CYCLES} cycles): "
-        f"{die_cycles / best['legacy']:8.0f} die-cycles/s legacy vs "
-        f"{die_cycles / best['fused']:8.0f} die-cycles/s fused "
-        f"({best['legacy'] / best['fused']:.2f}x)"
+        f"{die_cycles / best['exact']:8.0f} die-cycles/s exact vs "
+        f"{die_cycles / best['tabulated']:8.0f} die-cycles/s numpy "
+        f"tabulated ({best['exact'] / best['tabulated']:.2f}x)"
     )
-    assert best["fused"] <= best["legacy"] * NOISE_MARGIN
-
-
-def test_tabulated_not_slower_than_legacy(smoke_setup):
-    """The tabulated response must beat legacy once tables are built."""
-    population, lut, arrivals = smoke_setup
-    best = _interleaved_best(
-        population,
-        lut,
-        arrivals,
-        {
-            "legacy": {"step_kernel": "legacy"},
-            "tabulated": {"device_model": "tabulated"},
-        },
-    )
-    assert best["tabulated"] <= best["legacy"] * NOISE_MARGIN
+    assert best["tabulated"] <= best["exact"] * NOISE_MARGIN
 
 
 def _require_compiled_step():

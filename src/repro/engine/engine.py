@@ -12,7 +12,10 @@ The engine reproduces the scalar semantics of
 :class:`repro.core.controller.AdaptiveController` exactly (operation
 order included): a batch of one is cycle-for-cycle identical to the
 legacy loop, which is what lets the scalar controller delegate to the
-engine without moving any published number.
+engine without moving any published number.  Every cycle runs the fused
+:class:`~repro.engine.kernels.CycleKernel`; its bits are pinned against
+digests recorded from the earlier shifted-window step
+(``tests/engine/goldens/legacy_step.json``).
 """
 
 from __future__ import annotations
@@ -33,10 +36,9 @@ from repro.engine.device_math import (
     BatchDeviceSet,
     BatchEnergyModel,
     batch_measure_tdc_counts,
-    codes_from_counts,
 )
 from repro.engine.state import BatchState, STATE_ARRAY_FIELDS
-from repro.engine.trace import DECISION_HOLD, DenseTrace, TraceSink
+from repro.engine.trace import DenseTrace, TraceSink
 
 ArrivalsLike = Union[np.ndarray, Sequence[int], None]
 
@@ -291,11 +293,10 @@ DEVICE_MODELS = ("exact", "tabulated")
 full EKV pipeline (bit-identical to the scalar stack), ``"tabulated"``
 interpolates precomputed :class:`~repro.engine.response_tables.ResponseTables`."""
 
-STEP_KERNELS = ("fused", "legacy")
-"""Cycle-loop implementations: ``"fused"`` is the preallocated-scratch /
-ring-buffer :class:`~repro.engine.kernels.CycleKernel` (bit-identical to
-``"legacy"`` under the exact device model); ``"legacy"`` keeps the
-original allocating, window-shifting step as the parity reference."""
+STEP_KERNELS = ("fused",)
+"""Cycle-loop implementations: the preallocated-scratch / ring-buffer
+:class:`~repro.engine.kernels.CycleKernel`.  Kept as a one-value field
+because requests, wire payloads and persisted cache keys carry it."""
 
 
 class BatchEngine:
@@ -327,10 +328,6 @@ class BatchEngine:
             raise ValueError(
                 f"step_kernel must be one of {STEP_KERNELS}, "
                 f"got {step_kernel!r}"
-            )
-        if device_model == "tabulated" and step_kernel == "legacy":
-            raise ValueError(
-                "the tabulated device model requires the fused step kernel"
             )
         self.population = population
         self.config = config or ControllerConfig()
@@ -378,7 +375,6 @@ class BatchEngine:
             averaging_window=averaging_window,
             initial_correction=self._initial_correction,
         )
-        self.state.ring_buffers = step_kernel == "fused"
         # r_on of the power array for this run.  Segment selection happens
         # before a run (PowerTransistorArray.select_for_load), never inside
         # the cycle loop, so the enabled count is a per-run constant — but
@@ -402,7 +398,7 @@ class BatchEngine:
         bound and defeat the streaming sinks' fixed memory footprint."""
 
     # ------------------------------------------------------------------
-    # Elementary vectorised blocks
+    # State, device response and sensor
     # ------------------------------------------------------------------
     @property
     def n(self) -> int:
@@ -415,21 +411,12 @@ class BatchEngine:
         The process fleet backend swaps in shared-memory shard *views*
         so worker writes land in the parent's arrays; the scalar wrapper
         and tests may swap in copies.  The state must cover the same
-        population and use the buffer layout the configured step kernel
-        expects (ring buffers for ``"fused"``, shifted windows for
-        ``"legacy"``) — the step loop reads ``self.state`` afresh every
+        population — the step loop reads ``self.state`` afresh every
         cycle, so adoption is effective immediately.
         """
         if state.n != self.n:
             raise ValueError(
                 f"state covers {state.n} dies, engine simulates {self.n}"
-            )
-        expected_ring = self.step_kernel == "fused"
-        if bool(state.ring_buffers) != expected_ring:
-            raise ValueError(
-                "state buffer layout does not match the step kernel "
-                f"(ring_buffers={state.ring_buffers!r}, "
-                f"step_kernel={self.step_kernel!r})"
             )
         self.state = state
         if self._kernel is not None:
@@ -492,9 +479,7 @@ class BatchEngine:
         state = self.state
         for name in STATE_ARRAY_FIELDS:
             getattr(state, name)[...] = getattr(fresh, name)
-        scalars = fresh.scalar_fields()
-        scalars["ring_buffers"] = self.step_kernel == "fused"
-        state.apply_scalars(scalars)
+        state.apply_scalars(fresh.scalar_fields())
         self.correction_log.clear()
         if self._kernel is not None:
             self._kernel.rebind()
@@ -536,39 +521,6 @@ class BatchEngine:
                 )
         return self._response
 
-    def _rate_decision(self) -> np.ndarray:
-        """Averaged-occupancy LUT lookup for every die (mirrors RateController)."""
-        s = self.state
-        window = s.history.shape[1]
-        if s.history_filled < window:
-            s.history[:, s.history_filled] = s.queue_length
-            s.history_filled += 1
-        else:
-            s.history[:, :-1] = s.history[:, 1:]
-            s.history[:, -1] = s.queue_length
-        filled = s.history_filled
-        averaged = s.history[:, :filled].sum(axis=1) / filled
-        rounded = np.rint(averaged).astype(np.int64)
-        clamped = np.minimum(rounded, self.lut_fifo_depth)
-        bins = self.lut_entries.shape[0]
-        index = (clamped * bins / (self.lut_fifo_depth + 1)).astype(np.int64)
-        index = np.minimum(index, bins - 1)
-        return np.clip(
-            self.lut_entries[index] + s.lut_correction, 0, self._max_code
-        )
-
-    def _sense_codes(self, vout: np.ndarray) -> np.ndarray:
-        """What the regulation loop reads for the present output voltage."""
-        if self.feedback_mode is FeedbackMode.VOLTAGE_SENSE:
-            raw = np.rint(
-                vout
-                * (1 << self.config.resolution_bits)
-                / self.config.full_scale_voltage
-            ).astype(np.int64)
-            return np.clip(raw, 0, self._max_code)
-        counts, _ = self._measure_tdc(vout)
-        return codes_from_counts(self.population.expected_counts, counts)
-
     def _measure_tdc(self, vout: np.ndarray):
         cfg = self.config.tdc
         return batch_measure_tdc_counts(
@@ -579,124 +531,6 @@ class BatchEngine:
             cfg.max_count,
             cfg.minimum_supply,
         )
-
-    def _advance_power_stage(self, duty_cycle: np.ndarray, period: float) -> None:
-        """Semi-implicit Euler on the averaged buck equations (8 substeps)."""
-        cfg = self.config.power_stage
-        s = self.state
-        substeps = 8
-        h = period / substeps
-        il = s.inductor_current
-        vout = s.output_voltage
-        v_switch = duty_cycle * cfg.battery_voltage
-        energy = self.population.energy
-        for _ in range(substeps):
-            di = (v_switch - il * self._r_on - vout) / cfg.inductance
-            il = il + h * di
-            load_current = energy.current_draw(
-                vout,
-                self.population.temperature_c,
-                operations_per_second=self.nominal_throughput,
-            )
-            dv = (il - load_current) / cfg.capacitance
-            vout = vout + h * dv
-            vout = np.minimum(np.maximum(vout, 0.0), cfg.battery_voltage)
-        s.inductor_current = il
-        s.output_voltage = vout
-
-    def _operations_possible(self, vout: np.ndarray, period: float) -> np.ndarray:
-        """Completed-operation count per die, with fractional carry-over."""
-        s = self.state
-        runnable = vout > 0.05
-        safe = np.where(runnable, vout, 1.0)
-        cycle_time = self.population.energy.cycle_time(
-            safe, self.population.temperature_c
-        )
-        if self.nominal_throughput is not None:
-            cycle_time = np.maximum(cycle_time, 1.0 / self.nominal_throughput)
-        work = s.work_accumulator + period / cycle_time
-        completed = work.astype(np.int64)
-        s.work_accumulator = np.where(
-            runnable, work - completed, s.work_accumulator
-        )
-        return np.where(runnable, completed, 0)
-
-    def _cycle_energy(
-        self, vout: np.ndarray, operations: np.ndarray, period: float
-    ) -> np.ndarray:
-        """Load energy consumed this cycle per die (joules)."""
-        powered = vout > 0
-        safe = np.where(powered, vout, 1.0)
-        energy = self.population.energy
-        dynamic = (
-            energy.dynamic_energy(safe)
-            * (1.0 + self.population.load.short_circuit_fraction)
-            * operations
-        )
-        leakage = (
-            safe
-            * energy.leakage_current(safe, self.population.temperature_c)
-            * period
-        )
-        return np.where(powered, dynamic + leakage, 0.0)
-
-    def _signatures(
-        self, vout: np.ndarray, desired: np.ndarray
-    ) -> np.ndarray:
-        """Variation signature in DC-DC LSBs per die (mirrors tdc_signature)."""
-        counts, reliable = self._measure_tdc(vout)
-        apparent = codes_from_counts(self.population.expected_counts, counts)
-        if self.feedback_mode is FeedbackMode.VOLTAGE_SENSE:
-            voltage_code = np.clip(
-                np.rint(
-                    vout
-                    * (1 << self.config.resolution_bits)
-                    / self.config.full_scale_voltage
-                ).astype(np.int64),
-                0,
-                self._max_code,
-            )
-            shift = np.clip(voltage_code - apparent, -8, 8)
-        else:
-            shift = np.clip(desired, 0, self._max_code) - apparent
-        return np.where(reliable, shift, 0)
-
-    def _update_compensation(
-        self, vout: np.ndarray, desired: np.ndarray, settled: np.ndarray
-    ) -> None:
-        """Vote on persistent signatures and correct the per-die LUT offset."""
-        if not self.compensation_enabled:
-            return
-        s = self.state
-        cfg = self.config
-        active = settled
-        over_ceiling = active & (vout > cfg.signature_supply_ceiling)
-        s.vote_count[over_ceiling] = 0
-        collecting = active & ~over_ceiling
-        if not np.any(collecting):
-            return
-        signature = self._signatures(vout, desired)
-        s.votes[collecting, :-1] = s.votes[collecting, 1:]
-        s.votes[collecting, -1] = signature[collecting]
-        window = s.votes.shape[1]
-        s.vote_count[collecting] = np.minimum(
-            s.vote_count[collecting] + 1, window
-        )
-        ready = collecting & (s.vote_count >= window)
-        if not np.any(ready):
-            return
-        unanimous = ready & (s.votes == s.votes[:, :1]).all(axis=1)
-        limit = cfg.max_correction_lsb
-        agreed = np.clip(s.votes[:, 0], -limit, limit)
-        apply = unanimous & (
-            np.abs(agreed - s.lut_correction) > cfg.signature_deadband_counts
-        )
-        if not np.any(apply):
-            return
-        s.lut_correction = np.where(apply, agreed, s.lut_correction)
-        s.vote_count = np.where(apply, 0, s.vote_count)
-        if self._log_corrections:
-            self.correction_log.append(s.lut_correction.copy())
 
     # ------------------------------------------------------------------
     # One system cycle
@@ -713,127 +547,14 @@ class BatchEngine:
         desired word per die (Fig. 6 schedule mode).  Returns the
         telemetry row as a dict of ``(N,)`` arrays; row arrays are live
         views that the **next** ``step`` call overwrites (sinks copy what
-        they keep).
-
-        Dispatches to the fused :class:`~repro.engine.kernels.CycleKernel`
-        by default; ``step_kernel="legacy"`` keeps the original
-        window-shifting implementation below (the parity baseline).
+        they keep).  Runs the fused
+        :class:`~repro.engine.kernels.CycleKernel`.
         """
-        if self.step_kernel == "fused":
-            if self._kernel is None:
-                from repro.engine.kernels import CycleKernel
+        if self._kernel is None:
+            from repro.engine.kernels import CycleKernel
 
-                self._kernel = CycleKernel(self)
-            return self._kernel.step(arriving, scheduled_codes)
-        return self._step_legacy(arriving, scheduled_codes)
-
-    def _step_legacy(
-        self,
-        arriving: np.ndarray,
-        scheduled_codes: Optional[np.ndarray] = None,
-    ) -> dict:
-        """The original allocating step pipeline (shifted windows)."""
-        s = self.state
-        cfg = self.config
-        period = cfg.system_cycle_period
-        time = s.cycles * period
-
-        # 1. Input samples into the FIFO (overflow drops the excess).
-        arriving = np.asarray(arriving, dtype=np.int64)
-        space = self.fifo_depth - s.queue_length
-        accepted = np.minimum(arriving, space)
-        dropped = arriving - accepted
-        s.queue_length = s.queue_length + accepted
-        s.accepted_total += accepted
-        s.drops_total += dropped
-
-        # 2. Desired supply word.
-        if scheduled_codes is None:
-            desired_record = self._rate_decision()
-        else:
-            # Schedule mode mirrors run_schedule: the recorded word is
-            # min(scheduled + correction, max) *before* the DC-DC clamps
-            # it into [0, max].
-            desired_record = np.minimum(
-                np.asarray(scheduled_codes, dtype=np.int64) + s.lut_correction,
-                self._max_code,
-            )
-        desired = np.clip(desired_record, 0, self._max_code)
-
-        # 3. DC-DC regulation step (preset, sense, compare, trim, advance).
-        preset = ~s.has_last_desired | (np.abs(desired - s.last_desired) > 2)
-        if np.any(preset):
-            desired_voltage = (
-                desired * cfg.full_scale_voltage / (1 << cfg.resolution_bits)
-            )
-            duty_estimate = desired_voltage / cfg.power_stage.battery_voltage
-            duty_code = np.rint(
-                duty_estimate * (1 << cfg.resolution_bits)
-            ).astype(np.int64)
-            duty_code = np.clip(duty_code, 0, self._max_code)
-            duty_code = np.clip(
-                duty_code, cfg.code_lower_bound, cfg.code_upper_bound
-            )
-            s.duty_value = np.where(preset, duty_code, s.duty_value)
-            s.cycles_since_duty_update = np.where(
-                preset, 0, s.cycles_since_duty_update
-            )
-        s.last_desired = desired
-        s.has_last_desired = np.ones(self.n, dtype=bool)
-
-        measured = self._sense_codes(s.output_voltage)
-        error = desired - measured
-        decision = np.sign(error).astype(np.int8)
-
-        s.cycles_since_duty_update = s.cycles_since_duty_update + 1
-        trim = s.cycles_since_duty_update >= cfg.duty_update_interval
-        trimmed = np.clip(
-            s.duty_value + decision, cfg.code_lower_bound, cfg.code_upper_bound
-        )
-        s.duty_value = np.where(trim, trimmed, s.duty_value)
-        s.cycles_since_duty_update = np.where(
-            trim, 0, s.cycles_since_duty_update
-        )
-
-        duty_cycle = s.duty_value / (1 << cfg.resolution_bits)
-        self._advance_power_stage(duty_cycle, period)
-        vout = s.output_voltage
-
-        # 4. Load progress and FIFO drain.
-        possible = self._operations_possible(vout, period)
-        completed = np.minimum(possible, s.queue_length)
-        s.queue_length = s.queue_length - completed
-        s.operations_total += completed
-        # Peak occupancy occurs just after the push phase, i.e. the
-        # post-pop occupancy plus this cycle's pops.
-        np.maximum(
-            s.peak_queue, s.queue_length + completed, out=s.peak_queue
-        )
-        s.decision_up_total += decision == 1
-        s.decision_hold_total += decision == 0
-        s.decision_down_total += decision == -1
-
-        # 5. Load energy.
-        energy = self._cycle_energy(vout, completed, period)
-        s.energy_total += energy
-
-        # 6. Variation compensation.
-        settled = decision == DECISION_HOLD
-        self._update_compensation(vout, desired, settled)
-
-        s.cycles += 1
-        return {
-            "time": time + period,
-            "queue_length": s.queue_length,
-            "desired_code": desired_record,
-            "output_voltage": vout,
-            "duty_value": s.duty_value,
-            "operations_completed": completed,
-            "samples_dropped": dropped,
-            "energy": energy,
-            "lut_correction": s.lut_correction,
-            "decision": decision,
-        }
+            self._kernel = CycleKernel(self)
+        return self._kernel.step(arriving, scheduled_codes)
 
     # ------------------------------------------------------------------
     # Run loops

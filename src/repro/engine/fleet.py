@@ -343,16 +343,6 @@ class FleetEngine:
         # replacement population needs the residual engine kwargs.
         self._engine_kwargs = dict(engine_kwargs)
         if self.fleet.executor == "process":
-            if self.engines[0].step_kernel != "fused":
-                # The legacy step rebinds its state arrays every cycle
-                # (s.queue_length = s.queue_length + accepted, ...), so
-                # worker writes would never land in the shared block —
-                # the parent would gather a silently stale population.
-                # Only the in-place fused kernel is shared-memory safe.
-                raise ValueError(
-                    "executor='process' requires step_kernel='fused' "
-                    "(the legacy step does not write state in place)"
-                )
             if self.engines[0]._log_corrections:
                 # The sparse correction log is a Python list accumulated
                 # inside each worker interpreter; it is a scalar-wrapper

@@ -1,10 +1,9 @@
 """Fused per-cycle kernel of the batched engine.
 
 :class:`CycleKernel` is the hot path of
-:meth:`~repro.engine.engine.BatchEngine.step`: the same pipeline as the
-legacy step implementation (FIFO push, rate decision, DC-DC
-preset/sense/trim, averaged buck integration, load drain, energy
-accounting, signature voting) rewritten to
+:meth:`~repro.engine.engine.BatchEngine.step`: the paper's closed loop
+(FIFO push, rate decision, DC-DC preset/sense/trim, averaged buck
+integration, load drain, energy accounting, signature voting) written to
 
 * evaluate every elementwise expression into a preallocated
   :class:`ScratchBuffers` workspace with ``out=`` ufunc arguments —
@@ -17,11 +16,13 @@ accounting, signature voting) rewritten to
   or :class:`~repro.engine.response_tables.ResponseTables`).
 
 Numerical contract: with ``device_model="exact"`` the kernel performs
-the *same floating-point operations in the same order* as the legacy
-step (in-place evaluation and operand commutation only — both
-bit-preserving), so a fused run is **bit-identical** to a legacy run;
-``tests/engine/test_kernels.py`` pins this across partial-window,
-full-window and vote-reset transitions.
+the *same floating-point operations in the same order* as the original
+allocating, window-shifting step it replaced, so its results are
+**bit-identical** to that step's.  The earlier step is gone; its
+results over the 50 CI fuzz seeds and the partial-window, full-window,
+vote-reset and sequential-run scenarios of
+``tests/engine/test_kernels.py`` are checked in as canonical digests
+(``tests/engine/goldens/legacy_step.json``) that every run must match.
 
 Under ``device_model="tabulated"`` the whole cycle runs as one call into
 a compiled C step (:mod:`repro.engine.compiled_step`) whenever that
@@ -51,8 +52,7 @@ class ScratchBuffers:
     array per telemetry-row channel the step computes fresh each cycle
     (``desired_code``, ``operations_completed``, ``samples_dropped``,
     ``energy``, ``decision``).  Output arrays are only overwritten by
-    the *next* ``step`` call, so sinks may read them until then (the
-    same lifetime the legacy step gives its freshly allocated rows).
+    the *next* ``step`` call, so sinks may read them until then.
     """
 
     def __init__(self, n: int) -> None:
@@ -137,9 +137,8 @@ class CycleKernel:
         """Ring-buffered averaged-occupancy LUT lookup (into out_desired).
 
         The rolling ``history_sum`` update is integer arithmetic, so it
-        equals the legacy re-sum of the window exactly; everything after
-        it is the same expression sequence as the shifted
-        implementation.
+        equals a re-sum of the window exactly; everything after it
+        divides by the filled count and rounds to the LUT bin.
         """
         s = self.engine.state
         sc = self.scratch

@@ -53,12 +53,9 @@ Design:
   builds a :class:`~repro.faults.FaultInjector` and polls it per shard
   command, so crash/raise/hang/slow/ack-corruption/attach faults fire
   deterministically at a shard:cycle point under both the fork and
-  spawn start methods.  The legacy
-  ``REPRO_PROCFLEET_FAULT=<shard>[:<min_cycle>]`` env var still works —
-  it parses into an unlimited-budget ``raise`` spec with the original
-  message.  With a :class:`~repro.faults.RecoveryPolicy` configured
-  (``FleetConfig(recovery=...)``), the parent supervises the command
-  pipes (poll-with-timeout heartbeat), detects dead/hung/corrupt
+  spawn start methods.  With a :class:`~repro.faults.RecoveryPolicy`
+  configured (``FleetConfig(recovery=...)``), the parent supervises the
+  command pipes (poll-with-timeout heartbeat), detects dead/hung/corrupt
   workers, respawns them pinned to the same shards, rolls the failed
   shards back to the epoch snapshot and replays the epoch's recorded
   commands — the recovered run is **bit-identical** to a fault-free
@@ -95,15 +92,6 @@ from repro.faults import (
 
 _ALIGNMENT = 64
 """Byte alignment of every array inside a shared block (cache line)."""
-
-FAULT_ENV = "REPRO_PROCFLEET_FAULT"
-"""Legacy fault injection for the shared-memory lifecycle tests.  Set
-to a shard index to make the worker pinned to that shard raise on its
-next command; ``"<shard>:<min_cycle>"`` defers the fault until the
-first command whose start cycle has reached ``min_cycle`` (a mid-chunk
-crash).  Parsed by :func:`repro.faults.FaultPlan.from_env` into an
-unlimited-budget ``raise`` spec; the structured ``REPRO_FAULTS``
-grammar and :func:`repro.faults.install` supersede it."""
 
 START_METHOD_ENV = "REPRO_PROCFLEET_START_METHOD"
 """Override the multiprocessing start method (``fork``/``spawn``/
@@ -636,11 +624,8 @@ class _WorkerRuntime:
         engine.lut_fifo_depth = payload.lut_fifo_depth
         state_views = self._block("state", payload.state_spec).views()
         # Placeholder scalars: every command carries the authoritative
-        # values and applies them just before running (ring_buffers must
-        # be right immediately, though — adopt_state validates the
-        # buffer layout).
+        # values and applies them just before running.
         placeholder = {name: 0 for name in STATE_SCALAR_FIELDS}
-        placeholder["ring_buffers"] = engine.step_kernel == "fused"
         full_state = BatchState.from_arrays(state_views, placeholder)
         engine.adopt_state(full_state.shard_view(where))
         self.engines[index] = engine

@@ -52,7 +52,7 @@ class ExactDeviceResponse:
     agnostic to the device model.  ``out`` arguments are accepted for
     interface parity but ignored — the exact pipeline allocates its own
     intermediates, which is precisely what keeps it bit-identical to
-    the legacy step implementation.
+    the golden digests in ``tests/engine/goldens/legacy_step.json``.
     """
 
     def __init__(

@@ -64,14 +64,6 @@ class BatchState:
     cycles: int = 0
     """System cycles simulated so far (shared across dies)."""
 
-    ring_buffers: bool = False
-    """Layout marker: ``True`` when ``history``/``votes`` are ring
-    buffers written at ``history_pos``/``votes_pos`` (the fused kernel's
-    layout), ``False`` for the legacy shift-down layout (newest entry in
-    the last column).  Both layouts hold exactly the same *set* of
-    values; use :meth:`history_window` / :meth:`die_vote_tail` to read
-    them chronologically without caring which layout is active."""
-
     history_pos: int = 0
     """Next ring slot the occupancy history writes (shared across dies;
     the history is appended unconditionally every cycle)."""
@@ -79,8 +71,7 @@ class BatchState:
     history_sum: np.ndarray = field(default=None)
     """Rolling sum of the valid history columns per die (int, ``(N,)``).
     Integer arithmetic, so the rolling update is exactly equal to
-    re-summing the window — what keeps the ring rewrite bit-identical
-    to the shifted implementation."""
+    re-summing the window."""
 
     votes_pos: np.ndarray = field(default=None)
     """Next ring slot each die's vote window writes (int, ``(N,)``;
@@ -116,19 +107,19 @@ class BatchState:
         return int(self.queue_length.shape[0])
 
     # ------------------------------------------------------------------
-    # Layout-independent window access
+    # Chronological window access (``history`` and ``votes`` are ring
+    # buffers written at ``history_pos`` / ``votes_pos``)
     # ------------------------------------------------------------------
     def history_window(self) -> np.ndarray:
         """Return the valid occupancy history, oldest first (``(N, filled)``).
 
-        Works for both buffer layouts: while the window is partially
-        filled, both layouts keep entries chronologically in columns
-        ``0..filled-1``; once full, the ring layout wraps at
-        ``history_pos`` whereas the shifted layout stays chronological.
+        While the window is partially filled, entries sit chronologically
+        in columns ``0..filled-1``; once full, the ring wraps at
+        ``history_pos``.
         """
         window = self.history.shape[1]
         filled = self.history_filled
-        if not self.ring_buffers or filled < window:
+        if filled < window:
             return self.history[:, :filled]
         index = (self.history_pos + np.arange(window)) % window
         return self.history[:, index]
@@ -139,23 +130,21 @@ class BatchState:
         count = int(self.vote_count[die])
         if count == 0:
             return np.zeros(0, dtype=np.int64)
-        if not self.ring_buffers:
-            return self.votes[die, window - count:].copy()
         index = (
             int(self.votes_pos[die]) - count + np.arange(count)
         ) % window
         return self.votes[die, index]
 
     # ------------------------------------------------------------------
-    # Layout-independent window seeding (the scalar wrapper's hand-off)
+    # Chronological window seeding (the scalar wrapper's hand-off)
     # ------------------------------------------------------------------
     def seed_history(self, values) -> None:
         """Load a chronological occupancy window shared by every die.
 
         ``values`` is a 1-D chronological sequence of at most ``window``
-        entries (the scalar rate controller's history).  Valid for both
-        layouts: entries land in columns ``0..k-1`` with the ring write
-        position parked just past them.
+        entries (the scalar rate controller's history).  Entries land in
+        columns ``0..k-1`` with the ring write position parked just past
+        them.
         """
         values = np.asarray(values, dtype=np.int64)
         window = self.history.shape[1]
@@ -181,12 +170,9 @@ class BatchState:
         k = int(tail.shape[-1]) if tail.ndim else int(tail.size)
         if k > window or k != int(count):
             raise ValueError("vote seed must hold exactly `count` entries")
-        if self.ring_buffers:
-            if k:
-                self.votes[:, :k] = tail
-            self.votes_pos[:] = k % window
-        elif k:
-            self.votes[:, window - k:] = tail
+        if k:
+            self.votes[:, :k] = tail
+        self.votes_pos[:] = k % window
         self.vote_count[:] = count
 
     # ------------------------------------------------------------------
@@ -339,9 +325,7 @@ class BatchState:
         )
 
 
-STATE_SCALAR_FIELDS = (
-    "history_filled", "cycles", "ring_buffers", "history_pos"
-)
+STATE_SCALAR_FIELDS = ("history_filled", "cycles", "history_pos")
 """The :class:`BatchState` fields shared across dies as plain scalars."""
 
 STATE_ARRAY_FIELDS = tuple(

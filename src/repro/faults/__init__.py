@@ -10,8 +10,7 @@ shared-memory attach, corrupt a cache entry — and a
 counting down its budget.  Plans are installable three ways:
 
 * from tests, via :func:`install` (highest precedence),
-* from the environment, via ``REPRO_FAULTS`` (and the legacy
-  ``REPRO_PROCFLEET_FAULT`` shard[:cycle] form),
+* from the environment, via ``REPRO_FAULTS``,
 * from the CLI, via ``repro-serve --chaos``.
 
 ``REPRO_FAULTS`` grammar — comma-separated items of::
@@ -43,10 +42,9 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Mapping, Optional, Tuple
 
 FAULTS_ENV = "REPRO_FAULTS"
-LEGACY_FAULT_ENV = "REPRO_PROCFLEET_FAULT"
 
 FAULT_KINDS = (
     "crash",
@@ -202,28 +200,14 @@ class FaultPlan:
     def from_env(
         cls, environ: Optional[Mapping[str, str]] = None
     ) -> Optional["FaultPlan"]:
-        """Build a plan from ``REPRO_FAULTS`` plus the legacy
-        ``REPRO_PROCFLEET_FAULT=<shard>[:<min_cycle>]`` env var; None
-        when neither is set."""
+        """Build a plan from ``REPRO_FAULTS``; None when it is unset
+        or empty."""
         env = os.environ if environ is None else environ
-        specs: List[FaultSpec] = []
         raw = env.get(FAULTS_ENV)
-        if raw:
-            specs.extend(cls.parse(raw).specs)
-        legacy = env.get(LEGACY_FAULT_ENV)
-        if legacy:
-            shard_text, _, cycle_text = legacy.partition(":")
-            specs.append(
-                FaultSpec(
-                    kind="raise",
-                    shard=int(shard_text),
-                    cycle=int(cycle_text) if cycle_text else 0,
-                    times=0,
-                )
-            )
-        if not specs:
+        if not raw:
             return None
-        return cls(specs=tuple(specs))
+        plan = cls.parse(raw)
+        return plan if plan.specs else None
 
 
 class FaultInjector:
@@ -271,7 +255,7 @@ class FaultInjector:
 
 def injected_error(shard: Optional[int], kind: str) -> RuntimeError:
     """The canonical injected-fault exception (message prefix is pinned
-    by the legacy ``REPRO_PROCFLEET_FAULT`` regression tests)."""
+    by the procfleet lifecycle regression tests)."""
     where = "" if shard is None else f" on shard {shard}"
     return RuntimeError(f"injected worker fault{where} ({kind})")
 
@@ -299,7 +283,7 @@ class RecoveryPolicy:
 
 
 _installed: Optional[FaultPlan] = None
-_env_key: Tuple[Optional[str], Optional[str]] = (None, None)
+_env_key: Optional[str] = None
 _env_plan: Optional[FaultPlan] = None
 _shared: Optional[FaultInjector] = None
 
@@ -328,7 +312,7 @@ def active_plan() -> Optional[FaultPlan]:
     if _installed is not None:
         return _installed
     global _env_key, _env_plan
-    key = (os.environ.get(FAULTS_ENV), os.environ.get(LEGACY_FAULT_ENV))
+    key = os.environ.get(FAULTS_ENV)
     if key != _env_key:
         _env_key = key
         _env_plan = FaultPlan.from_env()
@@ -361,7 +345,6 @@ __all__ = [
     "FaultInjector",
     "FaultPlan",
     "FaultSpec",
-    "LEGACY_FAULT_ENV",
     "RecoveryPolicy",
     "active_plan",
     "clear",

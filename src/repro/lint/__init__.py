@@ -1,9 +1,10 @@
 """``repro.lint`` — determinism & resource-lifecycle static analysis.
 
 The repo's headline guarantee — bit-identical results across
-``(step_kernel x device_model x executor x sink x batch composition x
-engine reuse)`` — is enforced dynamically by the differential fuzz
-suites.  This package enforces the same contract *statically*: an
+``(device_model x tabulated step x executor x sink x batch composition
+x engine reuse)``, with the fused kernel pinned to recorded golden
+digests (``tests/engine/goldens/``) — is enforced dynamically by the
+differential fuzz suites.  This package enforces the same contract *statically*: an
 AST-based analyzer (``repro-lint``) whose rules encode the invariants
 ARCHITECTURE.md states in prose, so a violation fails in milliseconds
 at commit time instead of hours later when a fuzzed scenario happens to

@@ -238,10 +238,6 @@ class SimRequest:
                 f"step_kernel must be one of {STEP_KERNELS}, "
                 f"got {self.step_kernel!r}"
             )
-        if self.device_model == "tabulated" and self.step_kernel == "legacy":
-            raise ValueError(
-                "the tabulated device model requires the fused step kernel"
-            )
 
     # ------------------------------------------------------------------
     # Coalescing and caching keys

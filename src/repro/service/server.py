@@ -24,8 +24,9 @@ Wire model (one JSON object per request, mirroring
     GET /healthz  -> 200 {"status": "ok"}
     GET /metrics  -> 200 Prometheus text exposition
 
-Status mapping: malformed body or unknown field → 400; admission
-rejection (queue at capacity) → 429; shed deadline or gateway result
+Status mapping: malformed body or unknown field → 400; a body over
+:data:`MAX_BODY_BYTES` → 413 (connection closed, body left unread);
+admission rejection (queue at capacity) → 429; shed deadline or gateway result
 timeout → 504; gateway shutting down → 503; anything else → 500.  Every
 response carries ``Content-Length`` so HTTP/1.1 keep-alive connections
 stay usable for open-loop load generation — and ``do_POST`` consumes
@@ -64,6 +65,10 @@ TRACE_HEADER = "X-Repro-Trace"
 
 METRICS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 """Prometheus text exposition format content type."""
+
+MAX_BODY_BYTES = 1 << 20
+"""Largest ``POST`` body the gateway reads; a larger ``Content-Length``
+is answered 413 without reading it."""
 
 _WORKLOAD_FIELDS = frozenset(
     field.name for field in dataclasses.fields(WorkloadSpec)
@@ -191,6 +196,15 @@ class _GatewayHandler(BaseHTTPRequestHandler):
             # answer and drop the connection.
             self.close_connection = True
             self._reply(400, {"error": "invalid Content-Length"})
+            return
+        if length > MAX_BODY_BYTES:
+            # Reading it would let one client make this thread buffer
+            # any amount; leaving it unread poisons keep-alive, so drop
+            # the connection after answering.
+            self.close_connection = True
+            self._reply(
+                413, {"error": f"body exceeds {MAX_BODY_BYTES} bytes"}
+            )
             return
         raw = self.rfile.read(length) if length > 0 else b""
         if self.path != "/simulate":

@@ -4,12 +4,16 @@ Hand-picked parity cases (``test_parity.py``, ``test_kernels.py``,
 ``test_fleet.py``) pin known-tricky transitions; this harness instead
 generates *randomized* scenarios — population, variation, workload,
 schedule, window sizes, sharding — and drives each one through every
-``(step_kernel, device_model, executor, sink)`` combination, asserting
+``(device_model, executor, sink)`` combination, asserting
 
-* **bit-identity** between all exact paths: legacy vs fused kernel, and
-  the serial / thread / process fleet executors vs one plain
-  ``BatchEngine`` batch (dense traces channel-for-channel, streaming
-  reducers, null-sink state totals),
+* **bit-identity** of the single-batch exact run against the digests
+  recorded from the retired shifted-window step
+  (``goldens/legacy_step.json``, a fixed 50-seed corpus — see
+  ``conftest.py``),
+* **bit-identity** between all exact paths: the serial / thread /
+  process fleet executors vs one plain ``BatchEngine`` batch (dense
+  traces channel-for-channel, streaming reducers, null-sink state
+  totals),
 * **bit-identity** between executors under the tabulated device model
   (the backends must agree with each other regardless of device model),
 * **tolerance parity** of the tabulated model against the exact one,
@@ -39,6 +43,7 @@ import numpy as np
 import pytest
 
 from repro.testing import (
+    DEFAULT_BASE_SEED,
     compiled_step_available,
     fuzz_seeds,
     numpy_tabulated_step,
@@ -237,6 +242,7 @@ class ScenarioRuns:
             self.sc.cycles,
             scheduled_codes=self.sc.schedule_codes,
         )
+        self.last_state = engine.state
         totals = {
             "energy": engine.state.energy_total.copy(),
             "operations": engine.state.operations_total.copy(),
@@ -249,6 +255,7 @@ class ScenarioRuns:
     def exact(self):
         if self._exact is None:
             self._exact, self._exact_totals = self.run_batch()
+            self.exact_state = self.last_state
         return self._exact
 
     @property
@@ -340,20 +347,34 @@ class ReplayArrivals:
         return 0
 
 
+GOLDEN_SEEDS = tuple(range(DEFAULT_BASE_SEED, DEFAULT_BASE_SEED + 50))
+"""The fixed corpus of the legacy-step goldens: the 50 seeds CI's fuzz
+step runs, independent of ``REPRO_FUZZ_*``."""
+
+
+@pytest.mark.parametrize("seed", GOLDEN_SEEDS)
+def test_fused_kernel_matches_legacy_goldens(
+    seed, library, fuzz_lut, legacy_goldens
+):
+    """The single-batch exact run of every golden seed must reproduce
+    the digests the deleted legacy step recorded (``conftest.py``)."""
+    runs = get_runs(seed, library, fuzz_lut)
+    legacy_goldens.check(
+        f"fuzz/{seed}",
+        [runs.exact],
+        runs.exact_state,
+        "pytest 'tests/engine/test_differential_fuzz.py::"
+        f"test_fused_kernel_matches_legacy_goldens[{seed}]'",
+    )
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 def test_exact_paths_bit_identical(seed, library, fuzz_lut):
-    """Legacy kernel and every (executor, sink) combination must equal
-    the fused single-batch reference bit for bit under the exact device
-    model."""
+    """Every (executor, sink) combination must equal the single-batch
+    reference bit for bit under the exact device model."""
     runs = get_runs(seed, library, fuzz_lut)
     message = runs.sc.replay_message()
     reference = runs.exact
-
-    legacy, legacy_totals = runs.run_batch(step_kernel="legacy")
-    assert_traces_identical(reference, legacy, f"(legacy kernel) {message}")
-    assert_totals_identical(
-        runs.exact_totals, legacy_totals, f"(legacy kernel) {message}"
-    )
 
     for executor in EXECUTORS:
         dense, dense_totals = runs.run_fleet(executor)
@@ -459,13 +480,11 @@ REUSE_COMBOS = (
     {"executor": "process", "telemetry": "dense"},
     {"executor": "thread", "telemetry": "streaming"},
     {"executor": "process", "telemetry": "null"},
-    {"executor": "thread", "telemetry": "dense", "step_kernel": "legacy"},
     {"executor": "process", "telemetry": "dense",
      "device_model": "tabulated"},
 )
-"""Engine-reuse axis coverage: every executor, every sink, the legacy
-kernel (thread-only; the process backend rejects it) and the tabulated
-device model all appear at least once."""
+"""Engine-reuse axis coverage: every executor, every sink and the
+tabulated device model all appear at least once."""
 
 
 def _fingerprint(result, totals, telemetry):
@@ -503,8 +522,8 @@ def test_persistent_engine_reuse_bit_identical(seed, library, fuzz_lut):
     """The engine-reuse axis: repeated ``run()``/``run_chunked()`` calls
     on **one persistent FleetEngine** — with ``reset()`` population
     swaps between calls — must stay bit-identical to fresh cold engines,
-    across every (step_kernel, device_model, executor, sink)
-    combination the backends support."""
+    across every (device_model, executor, sink) combination the backends
+    support."""
     from types import SimpleNamespace
 
     runs = get_runs(seed, library, fuzz_lut)
@@ -534,9 +553,8 @@ def test_persistent_engine_reuse_bit_identical(seed, library, fuzz_lut):
     for combo in REUSE_COMBOS:
         telemetry = combo["telemetry"]
         kwargs = sc.engine_kwargs()
-        for knob in ("step_kernel", "device_model"):
-            if knob in combo:
-                kwargs[knob] = combo[knob]
+        if "device_model" in combo:
+            kwargs["device_model"] = combo["device_model"]
 
         def build(population):
             return FleetEngine(

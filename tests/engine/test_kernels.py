@@ -1,12 +1,14 @@
-"""Bit-identity of the fused kernel against the legacy step pipeline.
+"""Bit-identity of the fused kernel against the recorded legacy step.
 
 The fused :class:`~repro.engine.kernels.CycleKernel` (preallocated
 scratch, ``out=`` ufuncs, ring-buffered history/vote windows) must
-reproduce the legacy shifted-window implementation **bit for bit** under
-the exact device model — across partially filled windows, full windows,
+reproduce the deleted shifted-window step **bit for bit** under the
+exact device model — across partially filled windows, full windows,
 and vote-collection resets (supply-ceiling resets and applied
-corrections).  These tests pin that, plus the vectorised
-``normalise_arrivals`` shape/dtype contract.
+corrections).  Each scenario below is checked against the digests that
+step recorded (``goldens/legacy_step.json``, see ``conftest.py``).
+These tests also pin the vectorised ``normalise_arrivals`` shape/dtype
+contract.
 """
 
 import numpy as np
@@ -23,19 +25,6 @@ from repro.engine import (
 from repro.workloads import ConstantArrivals
 from repro.workloads.batch import constant_arrival_matrix
 
-CHANNELS = (
-    "times",
-    "queue_lengths",
-    "desired_codes",
-    "output_voltages",
-    "duty_values",
-    "operations_completed",
-    "samples_dropped",
-    "energies",
-    "lut_corrections",
-    "decisions",
-)
-
 
 @pytest.fixture(scope="module")
 def reference_lut(library):
@@ -45,87 +34,49 @@ def reference_lut(library):
     return program_lut_for_load(reference_load, sample_rate=1e5)
 
 
-def make_engines(library, reference_lut, n=6, seed=13, **kwargs):
+def make_engine(library, reference_lut, n=6, seed=13, **kwargs):
     samples = MonteCarloSampler(
         VariationModel(global_sigma_v=0.02), seed=seed
     ).draw_arrays(n)
     population = BatchPopulation.from_samples(library, samples)
-    fused = BatchEngine(
-        population, lut=reference_lut, step_kernel="fused", **kwargs
+    return BatchEngine(population, lut=reference_lut, **kwargs)
+
+
+def replay(test: str) -> str:
+    return (
+        "pytest 'tests/engine/test_kernels.py::"
+        f"TestRingVsShiftedBitIdentity::{test}'"
     )
-    legacy = BatchEngine(
-        population, lut=reference_lut, step_kernel="legacy", **kwargs
-    )
-    return fused, legacy
-
-
-def assert_bit_identical(fused_trace, legacy_trace):
-    for channel in CHANNELS:
-        np.testing.assert_array_equal(
-            getattr(fused_trace, channel),
-            getattr(legacy_trace, channel),
-            err_msg=channel,
-        )
-
-
-def assert_states_match(fused, legacy):
-    """Final engine state equality, read layout-independently."""
-    fs, ls = fused.state, legacy.state
-    for field in (
-        "queue_length",
-        "duty_value",
-        "cycles_since_duty_update",
-        "last_desired",
-        "inductor_current",
-        "output_voltage",
-        "work_accumulator",
-        "lut_correction",
-        "vote_count",
-        "energy_total",
-        "operations_total",
-        "drops_total",
-        "accepted_total",
-        "peak_queue",
-        "decision_up_total",
-        "decision_hold_total",
-        "decision_down_total",
-    ):
-        np.testing.assert_array_equal(
-            getattr(fs, field), getattr(ls, field), err_msg=field
-        )
-    np.testing.assert_array_equal(
-        fs.history_window(), ls.history_window(), err_msg="history"
-    )
-    for die in range(fs.n):
-        np.testing.assert_array_equal(
-            fs.die_vote_tail(die),
-            ls.die_vote_tail(die),
-            err_msg=f"votes die {die}",
-        )
 
 
 class TestRingVsShiftedBitIdentity:
-    def test_partial_window_run(self, library, reference_lut):
+    def test_partial_window_run(self, library, reference_lut, legacy_goldens):
         """Fewer cycles than the averaging window: partial history."""
-        fused, legacy = make_engines(library, reference_lut, averaging_window=8)
+        engine = make_engine(library, reference_lut, averaging_window=8)
         arrivals = constant_arrival_matrix(np.full(6, 1e5), 1e-6, 5)
-        assert_bit_identical(
-            fused.run(arrivals, 5), legacy.run(arrivals, 5)
+        trace = engine.run(arrivals, 5)
+        assert engine.state.history_filled == 5
+        legacy_goldens.check(
+            "ring_vs_shifted/partial_window", [trace], engine.state,
+            replay("test_partial_window_run"),
         )
-        assert fused.state.history_filled == 5
-        assert_states_match(fused, legacy)
 
-    def test_full_window_closed_loop(self, library, reference_lut):
+    def test_full_window_closed_loop(
+        self, library, reference_lut, legacy_goldens
+    ):
         """Long closed loop: wrapped history ring + vote collection."""
         cycles = 500
-        fused, legacy = make_engines(library, reference_lut)
+        engine = make_engine(library, reference_lut)
         arrivals = constant_arrival_matrix(np.full(6, 1e5), 1e-6, cycles)
-        assert_bit_identical(
-            fused.run(arrivals, cycles), legacy.run(arrivals, cycles)
+        trace = engine.run(arrivals, cycles)
+        legacy_goldens.check(
+            "ring_vs_shifted/full_window", [trace], engine.state,
+            replay("test_full_window_closed_loop"),
         )
-        assert_states_match(fused, legacy)
 
-    def test_vote_reset_transitions(self, library, reference_lut):
+    def test_vote_reset_transitions(
+        self, library, reference_lut, legacy_goldens
+    ):
         """Corner dies converge to non-zero corrections: the run crosses
         vote-window fills and applied-correction resets, then a
         high-voltage schedule segment exercises the over-ceiling reset
@@ -134,45 +85,36 @@ class TestRingVsShiftedBitIdentity:
         population = BatchPopulation.from_corners(library, corners)
         cycles = 900
         arrivals = constant_arrival_matrix(np.full(3, 1e5), 1e-6, cycles)
-        fused = BatchEngine(
-            population, lut=reference_lut, step_kernel="fused"
-        )
-        legacy = BatchEngine(
-            population, lut=reference_lut, step_kernel="legacy"
-        )
-        trace_f = fused.run(arrivals, cycles)
-        trace_l = legacy.run(arrivals, cycles)
-        assert_bit_identical(trace_f, trace_l)
+        engine = BatchEngine(population, lut=reference_lut)
+        trace = engine.run(arrivals, cycles)
         # The scenario must actually exercise a correction (vote reset).
-        assert np.any(trace_f.final_correction() != 0)
-        schedule = [(47, 200), (11, 250)]
-        sched_f = fused.run_schedule(schedule)
-        sched_l = legacy.run_schedule(schedule)
-        assert_bit_identical(sched_f, sched_l)
+        assert np.any(trace.final_correction() != 0)
+        scheduled = engine.run_schedule([(47, 200), (11, 250)])
         # The first segment regulates above the signature ceiling, so
         # the over-ceiling vote reset ran while settled.
-        ceiling = fused.config.signature_supply_ceiling
-        assert np.any(sched_f.output_voltages > ceiling)
-        assert_states_match(fused, legacy)
+        ceiling = engine.config.signature_supply_ceiling
+        assert np.any(scheduled.output_voltages > ceiling)
+        legacy_goldens.check(
+            "ring_vs_shifted/vote_reset", [trace, scheduled], engine.state,
+            replay("test_vote_reset_transitions"),
+        )
 
-    def test_schedule_mode_and_sequential_runs(self, library, reference_lut):
+    def test_schedule_mode_and_sequential_runs(
+        self, library, reference_lut, legacy_goldens
+    ):
         """Ring state carries across sequential runs exactly."""
-        fused, legacy = make_engines(library, reference_lut)
-        arrivals = ConstantArrivals(1e5)
-        arrivals_l = ConstantArrivals(1e5)
-        assert_bit_identical(
-            fused.run(arrivals, 150), legacy.run(arrivals_l, 150)
+        engine = make_engine(library, reference_lut)
+        first = engine.run(ConstantArrivals(1e5), 150)
+        second = engine.run_schedule([(19, 80), (11, 90)])
+        legacy_goldens.check(
+            "ring_vs_shifted/sequential_runs", [first, second], engine.state,
+            replay("test_schedule_mode_and_sequential_runs"),
         )
-        assert_bit_identical(
-            fused.run_schedule([(19, 80), (11, 90)]),
-            legacy.run_schedule([(19, 80), (11, 90)]),
-        )
-        assert_states_match(fused, legacy)
 
     def test_row_arrays_stable_until_next_step(self, library, reference_lut):
         """A recorded row must not change before the following step."""
-        fused, _ = make_engines(library, reference_lut)
-        row = fused.step(np.full(6, 3, dtype=np.int64))
+        engine = make_engine(library, reference_lut)
+        row = engine.step(np.full(6, 3, dtype=np.int64))
         snapshot = {key: np.copy(value) for key, value in row.items()}
         for key, value in snapshot.items():
             np.testing.assert_array_equal(row[key], value, err_msg=key)

@@ -26,7 +26,8 @@ from repro.engine import (
     FleetEngine,
     SharedArrayBlock,
 )
-from repro.engine.procfleet import FAULT_ENV, START_METHOD_ENV
+from repro.engine.procfleet import START_METHOD_ENV
+from repro.faults import FAULTS_ENV
 from repro.engine.state import (
     BatchState,
     STATE_ARRAY_FIELDS,
@@ -217,7 +218,7 @@ class TestProcessFleetLifecycle:
     def test_worker_crash_propagates_and_leaks_no_segments(
         self, population, reference_lut, arrivals, monkeypatch
     ):
-        monkeypatch.setenv(FAULT_ENV, "1")
+        monkeypatch.setenv(FAULTS_ENV, "raise@1:0:0:0")
         fleet = make_process_fleet(population, reference_lut)
         names = fleet.shared_block_names()
         assert names
@@ -285,24 +286,17 @@ class TestProcessFleetLifecycle:
             )
 
     def test_legacy_kernel_is_rejected(self, population, reference_lut):
-        """The legacy step rebinds its state arrays instead of writing
-        in place, so its updates would never reach the shared block —
-        the combination must fail loudly, not corrupt silently."""
-        with pytest.raises(ValueError, match="step_kernel='fused'"):
-            FleetEngine(
-                population,
-                reference_lut,
-                fleet=FleetConfig(executor="process", workers=2),
-                step_kernel="legacy",
-            )
-        # The thread executor keeps supporting the legacy baseline.
-        fleet = FleetEngine(
-            population,
-            reference_lut,
-            fleet=FleetConfig(executor="thread", workers=2),
-            step_kernel="legacy",
-        )
-        assert fleet.num_shards >= 1
+        """The fused kernel is the only step; a fleet asked for the
+        retired shifted-window step fails at construction, before any
+        shared block exists."""
+        for executor in ("process", "thread"):
+            with pytest.raises(ValueError, match="step_kernel must be"):
+                FleetEngine(
+                    population,
+                    reference_lut,
+                    fleet=FleetConfig(executor=executor, workers=2),
+                    step_kernel="legacy",
+                )
 
     def test_close_with_live_resident_workers_is_idempotent(
         self, population, reference_lut, arrivals
@@ -330,7 +324,7 @@ class TestProcessFleetLifecycle:
         """A fault armed for a later cycle fires on a mid-horizon chunk
         — after earlier chunks already ran on live residents — and the
         teardown must still unlink every segment."""
-        monkeypatch.setenv(FAULT_ENV, "1:20")
+        monkeypatch.setenv(FAULTS_ENV, "raise@1:20:0:0")
         fleet = make_process_fleet(population, reference_lut)
         names = fleet.shared_block_names()
         # Chunks of 10 over 40 cycles: the fault arms at start cycle 20,

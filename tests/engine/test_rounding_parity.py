@@ -7,8 +7,9 @@ a digital word —
 * Python's built-in ``round()`` (used by ``core/dcdc.py`` duty preset,
   ``digital/signals.voltage_to_code`` and the scalar rate controller's
   occupancy average) rounds half to even on binary floats, and
-* ``np.rint`` (used by the engine's ``_rate_decision``, ``_sense_codes``
-  and duty preset) implements the same IEEE round-half-to-even.
+* ``np.rint`` (used by the engine's :class:`CycleKernel`
+  ``_rate_decision``, ``_sense_codes`` and duty preset) implements the
+  same IEEE round-half-to-even.
 
 So a half-integer average of 2.5 maps to code 2 (not 3) on *both*
 paths.  These tests construct inputs that land exactly on .5 and assert
@@ -26,6 +27,7 @@ from repro.core.controller import AdaptiveController
 from repro.core.rate_controller import RateController, program_lut_for_load
 from repro.digital.signals import voltage_to_code
 from repro.engine import BatchEngine, BatchPopulation
+from repro.engine.kernels import CycleKernel
 from repro.library import OperatingCondition
 
 
@@ -78,10 +80,12 @@ class TestRateControllerAveraging:
             ),
             lut=reference_lut,
         )
+        kernel = CycleKernel(engine)
         batch_codes = []
         for q in queue_lengths:
             engine.state.queue_length[:] = q
-            batch_codes.append(int(engine._rate_decision()[0]))
+            kernel._rate_decision()
+            batch_codes.append(int(kernel.scratch.out_desired[0]))
         assert batch_codes == scalar_codes
 
 
@@ -174,7 +178,9 @@ class TestSenseCodeRounding:
             ),
             lut=reference_lut,
         )
-        batch_codes = engine._sense_codes(voltages)
+        batch_codes = CycleKernel(engine)._sense_codes(
+            voltages, out=np.empty(voltages.size, dtype=np.int64)
+        )
         scalar_codes = [
             voltage_to_code(float(v), bits, full_scale) for v in voltages
         ]

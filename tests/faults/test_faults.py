@@ -1,8 +1,7 @@
 """The fault-plan registry: grammar, matching, budgets, precedence.
 
 ``repro.faults`` is the foundation the chaos axis stands on, so its own
-semantics are pinned tightly: the env grammar (including the legacy
-``REPRO_PROCFLEET_FAULT`` form), spec matching (scope / shard wildcard
+semantics are pinned tightly: the env grammar, spec matching (scope / shard wildcard
 / cycle arming / command / executor filters), per-spec firing budgets,
 and the install-beats-environment precedence of :func:`active_plan`.
 """
@@ -90,20 +89,17 @@ class TestEnvironment:
         plan = FaultPlan.from_env({"REPRO_FAULTS": "crash@1:20"})
         assert plan.specs == (FaultSpec(kind="crash", shard=1, cycle=20),)
 
-    def test_legacy_env_maps_to_unlimited_raise(self):
-        plan = FaultPlan.from_env({"REPRO_PROCFLEET_FAULT": "1:20"})
+    def test_unlimited_raise_spelling(self):
+        plan = FaultPlan.from_env({"REPRO_FAULTS": "raise@1:20:0:0"})
         (spec,) = plan.specs
         assert spec == FaultSpec(kind="raise", shard=1, cycle=20, times=0)
 
-    def test_legacy_env_without_cycle(self):
-        (spec,) = FaultPlan.from_env({"REPRO_PROCFLEET_FAULT": "2"}).specs
-        assert spec.shard == 2 and spec.cycle == 0
-
-    def test_both_envs_concatenate(self):
+    def test_retired_procfleet_env_is_ignored(self):
         plan = FaultPlan.from_env(
             {"REPRO_FAULTS": "slow@*", "REPRO_PROCFLEET_FAULT": "0"}
         )
-        assert [spec.kind for spec in plan.specs] == ["slow", "raise"]
+        assert [spec.kind for spec in plan.specs] == ["slow"]
+        assert FaultPlan.from_env({"REPRO_PROCFLEET_FAULT": "0"}) is None
 
     def test_empty_environment_is_none(self):
         assert FaultPlan.from_env({}) is None

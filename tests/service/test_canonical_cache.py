@@ -118,7 +118,6 @@ class TestRequestKeys:
             SimRequest(cycles=100, averaging_window=3),
             SimRequest(cycles=100, initial_correction=1),
             SimRequest(cycles=100, device_model="tabulated"),
-            SimRequest(cycles=100, step_kernel="legacy"),
             SimRequest(cycles=100, sample_rate=2e5),
             SimRequest(
                 cycles=100, workload=WorkloadSpec(kind="none")
@@ -132,6 +131,19 @@ class TestRequestKeys:
         keys = {v.cache_key() for v in variants}
         assert len(keys) == len(variants)
         assert base.cache_key() not in keys
+        # The step kernel has one value; any other is rejected up front.
+        with pytest.raises(ValueError, match="step_kernel"):
+            SimRequest(cycles=100, step_kernel="legacy")
+
+    def test_cache_keys_are_stable(self):
+        """Persisted disk-tier entries stay reachable: these keys were
+        computed when ``step_kernel`` still had two values."""
+        assert SimRequest(cycles=100).cache_key() == (
+            "b79f9afc9c93a6cec95960c3dffc52d8fae4e50d77265a22e9b01017d8365154"
+        )
+        assert SimRequest(cycles=400, corner="SS").cache_key() == (
+            "ebbf7c79f0cd1902c2cd849784808569dffa2ac495cb28468ab49852b41465f4"
+        )
 
     def test_workload_seed_distinguishes_poisson_streams(self):
         a = SimRequest(

@@ -3,8 +3,8 @@
 The service's load-bearing invariant, randomizedly enforced: **any
 partition of N requests into service micro-batches yields bit-identical
 per-request results to one standalone ``BatchEngine`` run over all N —
-and to each request simulated alone** — across step kernels, device
-models and executor backends.
+and to each request simulated alone** — across device models and
+executor backends.
 
 Each seed draws a coalescible request set (mixed corners, threshold
 shifts, workloads, optional schedules and initial corrections, plus a
@@ -18,9 +18,9 @@ of the same work:
    shuffled order (randomized partition into micro-batches).
 
 Per seed, the matrix also replays under one alternative execution
-combination — legacy kernel, tabulated device model, or a fleet
-executor backend (serial/thread/process) — so every axis the engine
-fuzz harness covers is exercised through the service path too.  Seeds
+combination — tabulated device model or a fleet executor backend
+(serial/thread/process) — so every axis the engine fuzz harness covers
+is exercised through the service path too.  Seeds
 follow the shared protocol (:mod:`repro.testing`); replay with
 ``REPRO_FUZZ_SEEDS=<seed>``.
 """
@@ -39,7 +39,6 @@ SEEDS = fuzz_seeds()
 CORNERS = ("SS", "TT", "FS")
 
 ALT_COMBOS = (
-    {"step_kernel": "legacy"},
     {"device_model": "tabulated"},
     {"execution": "serial"},
     {"execution": "thread"},
@@ -199,12 +198,11 @@ def test_partitioning_is_bit_identical(seed, library):
     "combo",
     [
         {},
-        {"step_kernel": "legacy"},
         {"device_model": "tabulated"},
         {"execution": "thread"},
         {"execution": "process"},
     ],
-    ids=("fused", "legacy", "tabulated", "thread", "process"),
+    ids=("fused", "tabulated", "thread", "process"),
 )
 def test_pinned_partition_parity_every_axis(library, combo):
     """A fixed scenario through every axis on every run (the fuzz

@@ -8,6 +8,7 @@ of its own.
 
 import http.client
 import json
+import socket
 import threading
 from dataclasses import replace
 
@@ -24,6 +25,7 @@ from repro.service import (
     request_from_wire,
     request_to_wire,
 )
+from repro.service.server import MAX_BODY_BYTES
 
 WIRE_REQUESTS = (
     SimRequest(cycles=40),
@@ -186,6 +188,42 @@ class TestStatusMapping:
             response = connection.getresponse()
             assert response.status == 400
             assert "error" in json.loads(response.read())
+        finally:
+            connection.close()
+
+    def test_oversized_body_maps_to_413_and_closes(self, gateway):
+        """A Content-Length over the cap is answered without reading the
+        body (the client never sends it), and the connection is closed
+        because the unread bytes would otherwise parse as the next
+        request."""
+        with socket.create_connection(gateway.address, timeout=10) as sock:
+            sock.sendall(
+                b"POST /simulate HTTP/1.1\r\nHost: gateway\r\n"
+                b"Content-Type: application/json\r\n"
+                b"Content-Length: %d\r\n\r\n{" % (MAX_BODY_BYTES + 1)
+            )
+            response = http.client.HTTPResponse(sock)
+            response.begin()
+            assert response.status == 413
+            assert "exceeds" in json.loads(response.read())["error"]
+            try:
+                assert sock.recv(1) == b""
+            except ConnectionResetError:
+                pass  # closed with the unread byte still queued
+
+    def test_body_at_the_cap_is_served(self, gateway):
+        body = json.dumps({"cycles": 10}).encode()
+        body += b" " * (MAX_BODY_BYTES - len(body))
+        host, port = gateway.address
+        connection = http.client.HTTPConnection(host, port, timeout=60)
+        try:
+            connection.request(
+                "POST", "/simulate", body,
+                {"Content-Type": "application/json"},
+            )
+            response = connection.getresponse()
+            assert response.status == 200
+            assert "values" in json.loads(response.read())
         finally:
             connection.close()
 

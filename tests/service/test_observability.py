@@ -207,16 +207,23 @@ class TestStatsAtomicity:
             for worker in workers:
                 worker.start()
             try:
-                connection = http.client.HTTPConnection(
-                    host, port, timeout=30
-                )
                 deadline = time.monotonic() + 3.0
                 snapshots = 0
                 while time.monotonic() < deadline:
-                    connection.request("GET", "/stats")
-                    response = connection.getresponse()
-                    assert response.status == 200
-                    stats = json.loads(response.read())
+                    # A fresh connection per poll: on a keep-alive one
+                    # every reply waits ~40 ms for the client's delayed
+                    # ACK (the gateway sends headers and body apart with
+                    # Nagle on), which caps a 3 s poll near 60 cuts.
+                    connection = http.client.HTTPConnection(
+                        host, port, timeout=30
+                    )
+                    try:
+                        connection.request("GET", "/stats")
+                        response = connection.getresponse()
+                        assert response.status == 200
+                        stats = json.loads(response.read())
+                    finally:
+                        connection.close()
                     assert (
                         stats["cache_hits"] + stats["cache_misses"]
                         == stats["cache_lookups"]
@@ -229,7 +236,6 @@ class TestStatsAtomicity:
                         + stats["in_flight"]
                     ), stats
                     snapshots += 1
-                connection.close()
             finally:
                 stop.set()
                 for worker in workers:
